@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 invalid scenario or document, 3 planning or
-simulation failure, 4 verification failure, 5 filesystem error.  Output
-files contain no timestamps, so repeated runs are byte-identical.
+Exit codes: 0 success, 2 invalid scenario, document or argument,
+3 planning or simulation failure, 4 verification failure, 5 filesystem
+error.  Output files contain no timestamps, so repeated runs are
+byte-identical.
 """
 
 import argparse
@@ -47,6 +48,8 @@ def _member_weights(count: int, q: int, seed) -> np.ndarray:
     Lattice weights are pulled halfway toward the centroid so the extra
     members are strictly interior rather than repeating the vertices.
     """
+    if count < 0:
+        raise ValidationError(f"--count must be nonnegative, got {count}")
     if seed is None:
         extra = (0.5 * equispaced_weights(count, q) + 0.5 / q
                  if count else np.zeros((0, q)))
@@ -68,6 +71,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_members(args) -> int:
+    if args.samples < 1:
+        raise ValidationError(
+            f"--samples must be positive, got {args.samples}")
     tube = load_tube(args.tube)
     thetas = _member_weights(args.count, tube.count, args.seed_override)
     ts = np.linspace(0.0, 1.0, args.samples)

@@ -4,20 +4,26 @@ Each robot is a discrete double integrator tracking its own member
 trajectory, time-scaled so the bundle is traversed at a reference speed.
 Robots avoid each other through tangent half-spaces of ellipse Minkowski
 sums, softened by one shared slack per horizon step, and stay inside the
-tube through cross-section constraints.  The horizon problem is posed in
-error coordinates, which keeps it a pure quadratic form over affine
-constraints and lets it reuse the trajectory QP solver.
+tube through cross-section constraints.
+
+The horizon QP is condensed (Jerez, Kerrigan & Constantinides, CDC 2011).
+In error coordinates (reference minus actual) the dynamics give the error
+states as x~ = S u~ + F, so the only variables are the input errors and
+the slacks.  Shifting them by the unconstrained minimiser leaves a pure
+quadratic form over affine inequalities with no equality rows, which the
+trajectory QP solver takes as it is.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import PointOutsideHull, barycentric_weights
 from .trajopt import (AffineInequalities, CostSpec, EqualitySystem,
-                      PiecewisePolynomial, solve_qp)
+                      PiecewisePolynomial, RankDeficient, solve_qp)
 from .tube import OptimalVirtualTube, member_trajectory
 
 # distance-to-facet threshold separating interior from boundary robots
@@ -176,30 +182,28 @@ def avoidance_halfspaces(self_pred: np.ndarray, neighbor_preds: np.ndarray,
     neighbor_preds = np.asarray(neighbor_preds, dtype=float)
     if neighbor_preds.ndim == 2:
         neighbor_preds = neighbor_preds[None]
-    J, n, d = neighbor_preds.shape
+    n = neighbor_preds.shape[1]
     E = model.minkowski_scaling()
-    EtE = E.T @ E
-    normals = np.zeros((J, n, d))
-    offsets = np.zeros((J, n))
-    for j in range(J):
-        last = None if prev_normals is None else prev_normals[j]
-        for k in range(n):
-            center = neighbor_preds[j, k]
-            r = self_pred[k] - center
-            dist = np.linalg.norm(E @ r)
-            if dist < 1e-9:
-                if last is None:
-                    raise CoincidentCenters(
-                        f"neighbour {j} coincides at step {k}")
-                normal = last
-                touch = center + normal / np.linalg.norm(E @ normal)
-            else:
-                touch = center + r / dist
-                normal = EtE @ (touch - center)
-                normal = normal / np.linalg.norm(normal)
-            last = normal
-            normals[j, k] = normal
-            offsets[j, k] = float(normal @ touch)
+    r = self_pred[None] - neighbor_preds                  # (J, n, d)
+    apart = np.linalg.norm(r @ E.T, axis=2) >= 1e-9
+    grad = r @ (E.T @ E)
+    normals = np.divide(grad, np.linalg.norm(grad, axis=2, keepdims=True),
+                        out=np.zeros_like(grad), where=apart[..., None])
+    # a coincident step reuses the normal of the latest distinct step
+    source = np.maximum.accumulate(np.where(apart, np.arange(n), -1), axis=1)
+    normals = np.take_along_axis(normals, np.maximum(source, 0)[..., None],
+                                 axis=1)
+    # steps before the first distinct one reuse the previous tick's normal
+    leading = source < 0
+    for j in np.flatnonzero(leading[:, 0]):
+        if prev_normals is None or prev_normals[j] is None:
+            raise CoincidentCenters(f"neighbour {j} coincides at step 0")
+        normals[j, leading[j]] = prev_normals[j]
+    # the exit point along r, or along the reused normal when r vanishes
+    toward = np.where(apart[..., None], r, normals)
+    touch = neighbor_preds + toward / np.linalg.norm(
+        toward @ E.T, axis=2, keepdims=True)
+    offsets = np.einsum("jkd,jkd->jk", normals, touch)
     return Halfspaces(normals, offsets)
 
 
@@ -233,9 +237,12 @@ def boundary_margin(rows, p: np.ndarray) -> float:
 def mpc_step(state: np.ndarray, window: ReferenceWindow,
              halfspaces: Halfspaces | None, config: MpcConfig,
              position_rows=None):
-    """One horizon QP in error coordinates; returns the first input, the
-    planned absolute states, and the largest slack.
+    """One condensed horizon QP; returns the first input, the planned
+    absolute states, and the largest slack.
 
+    The variables are z = [u~, s]: the input errors u~_k = u_d,k - u_k
+    for steps 0..N-1 and one slack per step 0..N.  The error states
+    x~_k = x_d,k - x_k follow from the dynamics as x~ = S u~ + F.
     position_rows, when given, is a list over steps 1..N of (A, b) rows on
     the absolute position (tube cross-section facets or boundary boxes).
     Avoidance rows share one nonnegative slack per step.
@@ -243,93 +250,82 @@ def mpc_step(state: np.ndarray, window: ReferenceWindow,
     d = window.inputs.shape[1]
     N = window.states.shape[0] - 1
     dyn = DiscreteDynamics(config.timestep, d)
+    A, B = dyn.A, dyn.B
     nx, nu = 2 * d, d
-    n_state = (N + 1) * nx
-    n_input = N * nu
-    nz = n_state + n_input + (N + 1)
+    n_u = N * nu
+    nz = n_u + N + 1
 
-    def xi(k):
-        return slice(k * nx, (k + 1) * nx)
+    # x~_{k+1} = A x~_k + B u~_k + w_k, where w_k is the amount by which
+    # the reference itself misses the dynamics; S and F share columns
+    ref, ff = window.states, window.inputs
+    drift = ref[1:] - ref[:-1] @ A.T - ff[:-1] @ B.T
+    SF = np.zeros((N + 1, nx, n_u + 1))
+    SF[0, :, -1] = ref[0] - np.asarray(state, dtype=float)
+    for k in range(N):
+        SF[k + 1] = A @ SF[k]
+        SF[k + 1, :, k * nu:(k + 1) * nu] += B
+        SF[k + 1, :, -1] += drift[k]
+    S, F = SF[..., :-1], SF[..., -1]
 
-    def ui(k):
-        return slice(n_state + k * nu, n_state + (k + 1) * nu)
-
-    def si(k):
-        return n_state + n_input + k
-
-    H = np.zeros((nz, nz))
     stage = np.concatenate([np.full(d, config.position_weight),
                             np.full(d, config.velocity_weight)])
-    for k in range(N):
-        H[xi(k), xi(k)] = np.diag(stage)
-        H[ui(k), ui(k)] = config.input_weight * np.eye(d)
-    H[xi(N), xi(N)] = config.terminal_weight_scale * np.diag(stage)
-    for k in range(N + 1):
-        H[si(k), si(k)] = config.slack_weight
+    weights = np.tile(stage, (N + 1, 1))
+    weights[N] *= config.terminal_weight_scale
+    S_flat = S.reshape(-1, n_u)
+    QS = weights.reshape(-1, 1) * S_flat
+    H = np.zeros((nz, nz))
+    H[:n_u, :n_u] = S_flat.T @ QS + config.input_weight * np.eye(n_u)
+    H[n_u:, n_u:] = config.slack_weight * np.eye(N + 1)
+    # the unconstrained minimiser of z^T H z + 2 (S^T Q F)^T u~; shifting
+    # to y = z - z_star leaves the pure quadratic form y^T H y
+    try:
+        chol = cho_factor(H[:n_u, :n_u])
+    except np.linalg.LinAlgError:
+        raise RankDeficient("horizon QP Hessian is not positive definite; "
+                            "check the controller weights") from None
+    z_star = np.zeros(nz)
+    z_star[:n_u] = -cho_solve(chol, QS.T @ F.ravel())
 
-    A_dyn, B_dyn = dyn.A, dyn.B
-    n_eq = (N + 1) * nx
-    Aeq = np.zeros((n_eq, nz))
-    beq = np.zeros(n_eq)
-    Aeq[0:nx, xi(0)] = np.eye(nx)
-    beq[0:nx] = window.states[0] - np.asarray(state, dtype=float)
-    for k in range(N):
-        rows = slice((k + 1) * nx, (k + 2) * nx)
-        Aeq[rows, xi(k + 1)] = np.eye(nx)
-        Aeq[rows, xi(k)] = -A_dyn
-        Aeq[rows, ui(k)] = -B_dyn
-        beq[rows] = (window.states[k + 1] - A_dyn @ window.states[k]
-                     - B_dyn @ window.inputs[k])
+    # |u| <= input_limit with u = u_d - u~, then slack nonnegative
+    u_ref = ff[:N].ravel()
+    G_in = np.zeros((2 * n_u, nz))
+    G_in[:, :n_u] = np.kron(np.eye(n_u), [[1.0], [-1.0]])
+    h_in = (config.input_limit + np.column_stack([u_ref, -u_ref])).ravel()
+    G_s = np.zeros((N + 1, nz))
+    G_s[:, n_u:] = -np.eye(N + 1)
+    G_parts, h_parts = [G_in, G_s], [h_in, np.zeros(N + 1)]
+    # rows on p~_k = S_pos u~ + p_d,k - p_ff for steps 1..N, where p_ff
+    # is the absolute position reached by flying the feedforward alone
+    S_pos = S[1:, :d]
+    p_ff = ref[1:, :d] - F[1:, :d]
+    if halfspaces is not None:       # n . p~_k - s_k <= n . p_d,k - offset
+        normals = halfspaces.normals[:, 1:]
+        G_av = np.zeros((normals.shape[0], N, nz))
+        G_av[..., :n_u] = np.einsum("jkd,kdu->jku", normals, S_pos)
+        G_av[:, np.arange(N), n_u + 1 + np.arange(N)] = -1.0
+        G_parts.append(G_av.reshape(-1, nz))
+        h_parts.append((np.einsum("jkd,kd->jk", normals, p_ff)
+                        - halfspaces.offsets[:, 1:]).ravel())
+    if position_rows is not None:    # -a . p~_k <= b - a . p_d,k
+        step = np.concatenate([np.full(len(b), k)
+                               for k, (_, b) in enumerate(position_rows)])
+        A_p = np.vstack([a for a, _ in position_rows])
+        b_p = np.concatenate([b for _, b in position_rows])
+        G_pos = np.zeros((step.size, nz))
+        G_pos[:, :n_u] = -np.einsum("rd,rdu->ru", A_p, S_pos[step])
+        G_parts.append(G_pos)
+        h_parts.append(b_p - np.einsum("rd,rd->r", A_p, p_ff[step]))
+    G = np.vstack(G_parts)
+    h = np.concatenate(h_parts)
 
-    g_rows, h_rows = [], []
-    for k in range(N):          # |u| <= input_limit with u = u_d - u_tilde
-        for r in range(d):
-            row = np.zeros(nz)
-            row[n_state + k * nu + r] = 1.0
-            g_rows.append(row)
-            h_rows.append(config.input_limit + window.inputs[k, r])
-            row = np.zeros(nz)
-            row[n_state + k * nu + r] = -1.0
-            g_rows.append(row)
-            h_rows.append(config.input_limit - window.inputs[k, r])
-    for k in range(N + 1):      # slack nonnegative
-        row = np.zeros(nz)
-        row[si(k)] = -1.0
-        g_rows.append(row)
-        h_rows.append(0.0)
-    if halfspaces is not None:
-        J = halfspaces.normals.shape[0]
-        for j in range(J):
-            for k in range(1, N + 1):
-                normal = halfspaces.normals[j, k]
-                row = np.zeros(nz)
-                row[k * nx:k * nx + d] = normal
-                row[si(k)] = -1.0
-                g_rows.append(row)
-                h_rows.append(float(normal @ window.states[k, :d])
-                              - halfspaces.offsets[j, k])
-    if position_rows is not None:
-        for k in range(1, N + 1):
-            rows = position_rows[k - 1]
-            if rows is None:
-                continue
-            A_p, b_p = rows
-            for a, bb in zip(A_p, b_p):
-                row = np.zeros(nz)
-                row[k * nx:k * nx + d] = -a
-                g_rows.append(row)
-                h_rows.append(float(bb - a @ window.states[k, :d]))
-
-    cost = CostSpec(H, 0)
-    eq = EqualitySystem(Aeq, beq)
-    ineq = AffineInequalities(np.array(g_rows), np.array(h_rows))
-    sol = solve_qp(cost, eq, ineq)
-    x_err = sol.x[:n_state].reshape(N + 1, nx)
-    u_err0 = sol.x[ui(0)]
-    slacks = sol.x[n_state + n_input:]
-    u0 = window.inputs[0] - u_err0
-    plan = window.states - x_err
-    return u0, plan, float(slacks.max())
+    sol = solve_qp(CostSpec(H, 0),
+                   EqualitySystem(np.zeros((0, nz)), np.zeros(0)),
+                   AffineInequalities(G, h - G @ z_star))
+    z = sol.x + z_star
+    u_err = z[:n_u]
+    u0 = ff[0] - u_err[:nu]
+    plan = ref - (S @ u_err + F)
+    return u0, plan, float(z[n_u:].max())
 
 
 @dataclass

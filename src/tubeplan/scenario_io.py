@@ -26,6 +26,8 @@ from .tube import (OptimalVirtualTube, TrajectoryConfig, _shared_corridor,
 from .trajopt import CorridorSpec, corridor_constraints
 
 SCHEMA_VERSION = 1
+# largest |A basis_x - basis_b| entry a loaded tube may carry
+_BASIS_TOL = 1e-8
 
 
 class ParseError(ValueError):
@@ -73,6 +75,22 @@ def _number(val, path):
     if not math.isfinite(val):
         raise ValidationError(f"{path}: number must be finite")
     return float(val)
+
+
+def _non_finite_path(value, path=""):
+    """Path of the first non-finite number inside a parsed JSON value."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        bad = isinstance(value, float) and not math.isfinite(value)
+        return path if bad else None
+    for sub, item in items:
+        found = _non_finite_path(item, sub)
+        if found is not None:
+            return found
+    return None
 
 
 def _integer(val, path):
@@ -351,6 +369,9 @@ def load_tube(path) -> OptimalVirtualTube:
                            f"(expected {SCHEMA_VERSION})")
     if doc.get("kind") != "virtual-tube":
         raise ValidationError("kind must be 'virtual-tube'")
+    bad = _non_finite_path(doc)
+    if bad is not None:
+        raise ValidationError(f"{bad}: number must be finite")
     try:
         dim = int(doc["dimension"])
         cfg_doc = doc["config"]
@@ -389,11 +410,18 @@ def load_tube(path) -> OptimalVirtualTube:
                             cfg.corridor_samples)
         pair_corridors = [corridor_constraints(w, knots, spec, cfg.order)
                           for w in waypoints]
-    expected = (system.A.shape[0], basis_b.shape[1])
-    if expected[0] != expected[1] or basis_x.shape[1] != system.A.shape[1]:
+    rows, cols = system.A.shape
+    if (basis_x.shape != (pairs.count, cols)
+            or basis_b.shape != (pairs.count, rows)):
         raise ValidationError(
             f"basis arrays inconsistent with configuration: "
-            f"A is {system.A.shape}, basis_b rows have {basis_b.shape[1]}")
+            f"A is {system.A.shape}, basis_x is {basis_x.shape}, "
+            f"basis_b is {basis_b.shape}")
+    residual = float(np.abs(system.A @ basis_x.T - basis_b.T).max())
+    if residual > _BASIS_TOL:
+        raise ValidationError(
+            f"basis_x misses A x = basis_b by {residual:.3e} "
+            f"(tolerance {_BASIS_TOL:.0e})")
     return OptimalVirtualTube(
         pairs=pairs, config=cfg, knots=knots, chord_total=chord_total,
         waypoints=waypoints, A=system.A, blocks=system.blocks,

@@ -371,7 +371,7 @@ def solve_qp(cost: CostSpec, eq: EqualitySystem,
     mu = np.zeros(ineq.rows if ineq is not None else 0)
     if working:
         mu[working] = mu_w
-    eq_residual = float(np.abs(A @ x - b).max())
+    eq_residual = float(np.abs(A @ x - b).max(initial=0.0))
     if ineq is not None and ineq.rows:
         res = ineq.residuals(x)
         violation = float(max(res.max(), 0.0))

@@ -1,9 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from tubeplan.cli import main
+from tubeplan.scenario_io import load_tube
 
 TRIANGLE = "scenarios/triangle_2d.json"
 
@@ -52,8 +54,12 @@ def test_verify_passes_on_planned_tube(triangle_tube, capsys):
 
 
 def test_verify_flags_tampered_tube(triangle_tube, tmp_path, capsys):
+    # a step along the null space of A keeps A x = b, so the tube loads,
+    # but the first basis solution is no longer the optimum
     doc = json.loads(triangle_tube.read_text(encoding="utf-8"))
-    doc["basis_x"][0][0] += 0.05
+    null_dir = np.linalg.svd(load_tube(triangle_tube).A)[2][-1]
+    doc["basis_x"][0] = (np.array(doc["basis_x"][0])
+                         + 0.05 * null_dir).tolist()
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["verify", "--tube", str(tampered), "--count", "0"])
@@ -61,6 +67,38 @@ def test_verify_flags_tampered_tube(triangle_tube, tmp_path, capsys):
     assert code == 4
     assert "FAIL" in captured.out
     assert "failed verification" in captured.err
+
+
+@pytest.mark.parametrize("field, value", [("basis_x", 0.05),
+                                          ("basis_x", float("nan")),
+                                          ("basis_b", float("inf"))])
+def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
+                               value):
+    doc = json.loads(triangle_tube.read_text(encoding="utf-8"))
+    doc[field][0][0] += value
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("verify", "members"):
+        argv = [command, "--tube", str(tampered), "--count", "0"]
+        if command == "members":
+            argv += ["--out", str(tmp_path / "members.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("members", "--count", "-1"), ("members", "--samples", "0"),
+    ("verify", "--count", "-1")])
+def test_bad_member_arguments_exit_2(triangle_tube, tmp_path, capsys,
+                                     command, flag, value):
+    argv = [command, "--tube", str(triangle_tube), flag, value]
+    if command == "members":
+        argv += ["--out", str(tmp_path / "members.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+    assert not (tmp_path / "members.csv").exists()
 
 
 def test_simulate_runs_are_byte_identical(triangle_tube, tmp_path, capsys):

@@ -10,8 +10,8 @@ from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters,
                              avoidance_halfspaces, boundary_margin,
                              compute_metrics, hull_inequalities, mpc_step,
                              reference_window, simulate, _position_rows)
-from tubeplan.trajopt import (PiecewisePolynomial, assemble_cost,
-                              assemble_equality, solve_qp)
+from tubeplan.trajopt import (PiecewisePolynomial, RankDeficient,
+                              assemble_cost, assemble_equality, solve_qp)
 from tubeplan.tube import OptimalVirtualTube, TrajectoryConfig
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
@@ -68,6 +68,31 @@ def test_avoidance_tangent_oracle():
     assert np.allclose(hs.offsets[0], 1.0)
 
 
+def _halfspaces_by_loop(self_pred, neighbor_preds, model, prev_normals):
+    """Per-neighbour, per-step reference for avoidance_halfspaces."""
+    E = model.minkowski_scaling()
+    J, n, d = neighbor_preds.shape
+    normals = np.zeros((J, n, d))
+    offsets = np.zeros((J, n))
+    for j in range(J):
+        last = prev_normals[j]
+        for k in range(n):
+            center = neighbor_preds[j, k]
+            r = self_pred[k] - center
+            dist = np.linalg.norm(E @ r)
+            if dist < 1e-9:
+                normal = last
+                touch = center + normal / np.linalg.norm(E @ normal)
+            else:
+                touch = center + r / dist
+                normal = E.T @ E @ (touch - center)
+                normal = normal / np.linalg.norm(normal)
+            last = normal
+            normals[j, k] = normal
+            offsets[j, k] = normal @ touch
+    return normals, offsets
+
+
 def test_avoidance_coincident_center_fallbacks():
     model = AvoidanceModel(axes=np.array([0.5, 0.5]))
     with pytest.raises(CoincidentCenters):
@@ -84,6 +109,25 @@ def test_avoidance_coincident_center_fallbacks():
     hs = avoidance_halfspaces(self_pred, neighbor, model)
     assert np.allclose(hs.normals[0, 0], [1.0, 0.0])
     assert np.allclose(hs.normals[0, 1], [1.0, 0.0])
+    # several neighbours at once on unequal axes: 0 coincides at steps 0-1
+    # (previous tick), 1 coincides at step 2 (previous step), 2 never does
+    model = AvoidanceModel(axes=np.array([0.5, 0.3]))
+    rng = np.random.default_rng(3)
+    self_pred = rng.normal(size=(4, 2))
+    neighbors = self_pred + rng.normal(size=(3, 4, 2))
+    neighbors[0, :2] = self_pred[:2]
+    neighbors[1, 2] = self_pred[2]
+    prev = [np.array([0.6, 0.8]), None, None]
+    hs = avoidance_halfspaces(self_pred, neighbors, model, prev)
+    assert np.allclose(hs.normals[0, :2], [0.6, 0.8])
+    assert np.allclose(hs.normals[1, 2], hs.normals[1, 1])
+    normals, offsets = _halfspaces_by_loop(self_pred, neighbors, model, prev)
+    assert np.abs(hs.normals - normals).max() <= 1e-12
+    assert np.abs(hs.offsets - offsets).max() <= 1e-12
+    # the first neighbour left without any fallback is named
+    neighbors[1, 0] = self_pred[0]
+    with pytest.raises(CoincidentCenters, match="neighbour 1 "):
+        avoidance_halfspaces(self_pred, neighbors, model, prev)
 
 
 def test_hull_inequalities_square_and_degenerate():
@@ -121,6 +165,80 @@ def test_mpc_step_structure():
     assert plan[-1, 0] > plan[0, 0]
 
 
+def _curved_window(horizon):
+    # h(t) = (2 t + t^2, t - 2 t^2): nonzero feedforward, and a reference
+    # that misses the discrete dynamics
+    traj = PiecewisePolynomial(2, 2, UNIT,
+                               np.array([0.0, 0.0, 2.0, 1.0, 1.0, -2.0]))
+    scaling = TimeScaling(total_chord=2.0, speed=1.0)
+    return reference_window(traj, scaling, 0.3, horizon, 0.1)
+
+
+def test_mpc_step_matches_state_space_kkt():
+    N, d = 4, 2
+    nx, n_x = 2 * d, (N + 1) * 2 * d
+    window = _curved_window(N)
+    config = MpcConfig()
+    state = window.states[0] + np.array([0.3, -0.2, 0.5, 0.1])
+    # far neighbour and wide boxes: rows present, none of them active
+    far = np.tile([40.0, 40.0], (N + 1, 1))
+    hs = avoidance_halfspaces(window.states[:, :d], far,
+                              AvoidanceModel(axes=np.array([0.5, 0.5])))
+    boxes = _position_rows([None] * N, window,
+                           MpcConfig(boundary_tolerance=5.0))
+    u0, plan, slack = mpc_step(state, window, hs, config, boxes)
+
+    # independent oracle: the uncondensed QP over z = [x~_0..x~_N,
+    # u~_0..u~_{N-1}] with the error dynamics as equalities, one KKT solve
+    dyn = DiscreteDynamics(config.timestep, d)
+    stage = np.repeat([config.position_weight, config.velocity_weight], d)
+    weights = np.concatenate([np.tile(stage, N),
+                              config.terminal_weight_scale * stage,
+                              np.full(N * d, config.input_weight)])
+    n = weights.size
+    Aeq = np.zeros((n_x, n))
+    beq = np.zeros(n_x)
+    Aeq[:nx, :nx] = np.eye(nx)
+    beq[:nx] = window.states[0] - state
+    for k in range(N):
+        rows = slice((k + 1) * nx, (k + 2) * nx)
+        Aeq[rows, (k + 1) * nx:(k + 2) * nx] = np.eye(nx)
+        Aeq[rows, k * nx:(k + 1) * nx] = -dyn.A
+        Aeq[rows, n_x + k * d:n_x + (k + 1) * d] = -dyn.B
+        beq[rows] = (window.states[k + 1] - dyn.A @ window.states[k]
+                     - dyn.B @ window.inputs[k])
+    K = np.block([[2.0 * np.diag(weights), Aeq.T],
+                  [Aeq, np.zeros((n_x, n_x))]])
+    z = np.linalg.solve(K, np.concatenate([np.zeros(n), beq]))[:n]
+    assert np.abs(u0 - (window.inputs[0] - z[n_x:n_x + d])).max() <= 1e-9
+    expected = window.states - z[:n_x].reshape(N + 1, nx)
+    assert np.abs(plan - expected).max() <= 1e-9
+    assert slack == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mpc_step_holds_active_rows():
+    N, d = 6, 2
+    window = _curved_window(N)
+    config = MpcConfig(boundary_tolerance=0.2)
+    state = window.states[0] + np.array([0.15, 0.0, 0.0, 0.0])
+    # a neighbour flying 0.6 m beside the reference, inside the 1 m ellipse
+    neighbor = window.states[:, :d] + np.array([0.0, 0.6])
+    hs = avoidance_halfspaces(window.states[:, :d], neighbor,
+                              AvoidanceModel(axes=np.array([0.5, 0.5])))
+    boxes = _position_rows([None] * N, window, config)
+    u0, plan, slack = mpc_step(state, window, hs, config, boxes)
+    dyn = DiscreteDynamics(config.timestep, d)
+    assert np.abs(plan[0] - state).max() <= 1e-12
+    assert np.abs(plan[1] - (dyn.A @ state + dyn.B @ u0)).max() <= 1e-9
+    p = plan[1:, :d]
+    margin = (hs.normals[0, 1:] * p).sum(axis=1) - hs.offsets[0, 1:]
+    assert margin.min() >= -slack - 1e-8
+    assert slack > 1e-3          # the avoidance rows bind and use slack
+    ref = window.states[1:, :d]
+    assert np.abs(p - ref).max() <= config.boundary_tolerance + 1e-8
+    assert np.abs(p - ref).max() >= config.boundary_tolerance - 1e-8
+
+
 def test_mpc_step_respects_input_limit():
     traj = PiecewisePolynomial(1, 1, UNIT, np.array([0.0, 2.0]))
     scaling = TimeScaling(total_chord=2.0, speed=1.0)
@@ -130,6 +248,16 @@ def test_mpc_step_respects_input_limit():
     u0, plan, slack = mpc_step(np.array([0.0, 0.0]), window, None, config)
     assert u0[0] == pytest.approx(0.5, abs=1e-8)
     assert slack == pytest.approx(0.0, abs=1e-9)
+
+
+def test_mpc_step_rejects_degenerate_weights():
+    traj = PiecewisePolynomial(1, 1, UNIT, np.array([0.0, 2.0]))
+    scaling = TimeScaling(total_chord=2.0, speed=1.0)
+    window = reference_window(traj, scaling, 0.0, 5, 0.1)
+    # the last input moves only the terminal velocity, which costs nothing
+    config = MpcConfig(velocity_weight=0.0, input_weight=0.0)
+    with pytest.raises(RankDeficient, match="controller weights"):
+        mpc_step(np.array([0.0, 0.0]), window, None, config)
 
 
 def test_position_rows_switch_to_box_on_boundary():

@@ -255,6 +255,21 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
     with pytest.raises(ValidationError, match="inconsistent"):
         load_tube(tamper(tmp_path, truncate_basis))
 
+    def poison_basis(doc):
+        doc["basis_x"][1][3] = float("nan")
+    with pytest.raises(ValidationError, match=r"basis_x\[1\]\[3\]: .*finite"):
+        load_tube(tamper(tmp_path, poison_basis))
+
+    def infinite_knot(doc):
+        doc["knots"][1] = float("-inf")
+    with pytest.raises(ValidationError, match=r"knots\[1\]: .*finite"):
+        load_tube(tamper(tmp_path, infinite_knot))
+
+    def nudge_rhs(doc):
+        doc["basis_b"][1][0] += 1e-6
+    with pytest.raises(ValidationError, match="basis_b by 1.000e-06"):
+        load_tube(tamper(tmp_path, nudge_rhs))
+
 
 def hand_log():
     times = np.array([0.0, 0.1, 0.2])

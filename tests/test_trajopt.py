@@ -166,6 +166,19 @@ def test_qp_active_inequality():
     assert sol.kkt_stationarity <= 1e-8
 
 
+def test_qp_without_equalities():
+    cost = CostSpec(np.eye(2), 0)
+    eq = EqualitySystem(np.zeros((0, 2)), np.zeros(0))
+    ineq = AffineInequalities(np.array([[-1.0, 0.0]]), np.array([-1.0]))
+    sol = solve_qp(cost, eq, ineq)            # min |x|^2, x0 >= 1
+    assert np.allclose(sol.x, [1.0, 0.0], atol=1e-10)
+    assert sol.eq_residual == 0.0
+    assert sol.lam.size == 0
+    assert list(sol.active_set) == [0]
+    assert sol.mu[0] == pytest.approx(2.0)
+    assert sol.kkt_stationarity <= 1e-8
+
+
 def test_qp_inactive_inequality():
     cost = CostSpec(np.eye(2), 0)
     eq = EqualitySystem(np.array([[1.0, 0.0]]), np.array([1.0]))
