@@ -59,6 +59,11 @@ def _member_weights(count: int, q: int, seed) -> np.ndarray:
     return np.vstack([np.eye(q), extra]) if count else np.eye(q)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValidationError(f"--samples must be positive, got {samples}")
+
+
 def cmd_plan(args) -> int:
     scenario = load_scenario(args.scenario)
     tube = plan_tube(scenario)
@@ -71,9 +76,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_members(args) -> int:
-    if args.samples < 1:
-        raise ValidationError(
-            f"--samples must be positive, got {args.samples}")
+    _check_samples(args.samples)
     tube = load_tube(args.tube)
     thetas = _member_weights(args.count, tube.count, args.seed_override)
     ts = np.linspace(0.0, 1.0, args.samples)
@@ -98,6 +101,7 @@ def cmd_members(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_samples(args.samples)
     tube = load_tube(args.tube)
     thetas = _member_weights(args.count, tube.count, args.seed_override)
     failures = 0

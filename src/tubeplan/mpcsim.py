@@ -12,6 +12,12 @@ states as x~ = S u~ + F, so the only variables are the input errors and
 the slacks.  Shifting them by the unconstrained minimiser leaves a pure
 quadratic form over affine inequalities with no equality rows, which the
 trajectory QP solver takes as it is.
+
+Each robot's active-set loop is warm-started from the working set its own
+QP ended with on the previous tick (Ferreau, Bock & Diehl, IJRNC 2008):
+consecutive horizons share most of their binding rows, so a warm QP
+mostly settles after one or two KKT solves.  Rows are matched by index,
+so a set is carried over only while the row count stays the same.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -236,9 +242,10 @@ def boundary_margin(rows, p: np.ndarray) -> float:
 
 def mpc_step(state: np.ndarray, window: ReferenceWindow,
              halfspaces: Halfspaces | None, config: MpcConfig,
-             position_rows=None):
+             position_rows=None, warm=None):
     """One condensed horizon QP; returns the first input, the planned
-    absolute states, and the largest slack.
+    absolute states, the largest slack, and the warm start for the next
+    call.
 
     The variables are z = [u~, s]: the input errors u~_k = u_d,k - u_k
     for steps 0..N-1 and one slack per step 0..N.  The error states
@@ -246,6 +253,9 @@ def mpc_step(state: np.ndarray, window: ReferenceWindow,
     position_rows, when given, is a list over steps 1..N of (A, b) rows on
     the absolute position (tube cross-section facets or boundary boxes).
     Avoidance rows share one nonnegative slack per step.
+    warm is the (row count, working set) pair returned by this robot's
+    previous call; its working set seeds the QP when the row count of
+    this call's inequalities is the same, else the QP starts cold.
     """
     d = window.inputs.shape[1]
     N = window.states.shape[0] - 1
@@ -318,14 +328,15 @@ def mpc_step(state: np.ndarray, window: ReferenceWindow,
     G = np.vstack(G_parts)
     h = np.concatenate(h_parts)
 
+    working = warm[1] if warm is not None and warm[0] == G.shape[0] else None
     sol = solve_qp(CostSpec(H, 0),
                    EqualitySystem(np.zeros((0, nz)), np.zeros(0)),
-                   AffineInequalities(G, h - G @ z_star))
+                   AffineInequalities(G, h - G @ z_star), working=working)
     z = sol.x + z_star
     u_err = z[:n_u]
     u0 = ff[0] - u_err[:nu]
     plan = ref - (S @ u_err + F)
-    return u0, plan, float(z[n_u:].max())
+    return u0, plan, float(z[n_u:].max()), (G.shape[0], sol.working)
 
 
 @dataclass
@@ -395,6 +406,7 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     steps = np.arange(N + 1)[:, None] * Ts
     preds = np.array([starts[i] + steps * states[0, i, d:] for i in range(M)])
     prev_normals = [[None] * M for _ in range(M)]
+    warm = [None] * M
 
     used = 0
     for tick in range(ticks):
@@ -412,13 +424,13 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
                     preds[i], preds[others], avoidance,
                     [prev_normals[i][j] for j in others])
             pos_rows = _position_rows(section_rows, window, config)
-            u0, plan, slack = mpc_step(states[tick, i], window, hs,
-                                       config, pos_rows)
+            u0, plan, slack, new_warm = mpc_step(
+                states[tick, i], window, hs, config, pos_rows, warm[i])
             new_normals = None
             if hs is not None:
                 new_normals = {j: hs.normals[a, -1]
                                for a, j in enumerate(others)}
-            return i, u0, plan, slack, new_normals
+            return i, u0, plan, slack, new_normals, new_warm
 
         if threads and threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -426,7 +438,8 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
         else:
             results = [step_robot(i) for i in range(M)]
 
-        for i, u0, plan, slack, new_normals in results:
+        for i, u0, plan, slack, new_normals, new_warm in results:
+            warm[i] = new_warm
             inputs[tick, i] = u0
             max_slack[tick, i] = slack
             preds[i] = np.vstack([plan[1:, :d], plan[-1:, :d]])

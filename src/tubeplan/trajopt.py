@@ -42,13 +42,6 @@ def basis_row(t: float, deriv: int, order: int) -> np.ndarray:
     return row
 
 
-def _falling(i: int, k: int) -> float:
-    c = 1.0
-    for j in range(k):
-        c *= i - j
-    return c
-
-
 @dataclass
 class EqualitySystem:
     """Stacked equality constraints A x = b with named row blocks."""
@@ -191,14 +184,15 @@ def assemble_cost(knots: KnotVector, deriv_order: int, order: int,
     m = t.size - 1
     width = _coef_width(order, dim)
     H = np.zeros((m * width, m * width))
+    # at t = 1 the derivative row holds just the falling factorials
+    falling = basis_row(1.0, deriv_order, order)
     for seg in range(m):
         S = np.zeros((order + 1, order + 1))
         for i in range(deriv_order, order + 1):
-            ci = _falling(i, deriv_order)
             for j in range(deriv_order, order + 1):
-                cj = _falling(j, deriv_order)
                 e = i + j - 2 * deriv_order + 1
-                S[i, j] = ci * cj * (t[seg + 1] ** e - t[seg] ** e) / e
+                S[i, j] = (falling[i] * falling[j]
+                           * (t[seg + 1] ** e - t[seg] ** e) / e)
         block = np.kron(S, np.eye(dim))
         H[seg * width:(seg + 1) * width, seg * width:(seg + 1) * width] = block
     H = 0.5 * (H + H.T)
@@ -261,27 +255,37 @@ def solve_full_pivot(M: np.ndarray, rhs: np.ndarray,
     a = np.array(M, dtype=float)
     y = np.array(rhs, dtype=float)
     n = a.shape[0]
-    col_perm = np.arange(n)
+    col_perm = list(range(n))
     max_piv = 0.0
+    # one buffer serves every pivot search; a contiguous view of its head
+    # keeps argmax in the row-major order of the trailing block
+    buf = np.empty(n * n)
     for k in range(n):
-        sub = np.abs(a[k:, k:])
-        flat = int(np.argmax(sub))
-        pi, pj = divmod(flat, n - k)
+        m = n - k
+        sub = np.abs(a[k:, k:], out=buf[:m * m].reshape(m, m))
+        pi, pj = divmod(int(sub.argmax()), m)
         pi += k
         pj += k
         piv = abs(a[pi, pj])
         if piv <= pivot_rtol * max_piv or piv == 0.0:
             raise RankDeficient(f"pivot {piv:.3e} at step {k} of {n}")
-        max_piv = max(max_piv, piv)
+        if piv > max_piv:
+            max_piv = piv
         if pi != k:
-            a[[k, pi]] = a[[pi, k]]
-            y[[k, pi]] = y[[pi, k]]
+            # left of column k both rows hold only eliminated entries
+            row = a[k, k:].copy()
+            a[k, k:] = a[pi, k:]
+            a[pi, k:] = row
+            y[k], y[pi] = y[pi], y[k]
         if pj != k:
-            a[:, [k, pj]] = a[:, [pj, k]]
-            col_perm[[k, pj]] = col_perm[[pj, k]]
-        if k + 1 < n:
+            col = a[:, k].copy()
+            a[:, k] = a[:, pj]
+            a[:, pj] = col
+            col_perm[k], col_perm[pj] = col_perm[pj], col_perm[k]
+        if m > 1:
+            # column k below the pivot is eliminated and never read again
             f = a[k + 1:, k] / a[k, k]
-            a[k + 1:, k:] -= np.outer(f, a[k, k:])
+            a[k + 1:, k + 1:] -= f[:, None] * a[k, k + 1:]
             y[k + 1:] -= f * y[k]
     x = np.zeros(n)
     for k in range(n - 1, -1, -1):
@@ -301,6 +305,8 @@ class QpSolution:
     active_set: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
+    working: list       # final working set, in the order rows joined it
+    iterations: int     # KKT solves made
 
 
 # termination tolerances for the active-set loop
@@ -322,7 +328,8 @@ def _kkt_solve(H: np.ndarray, A: np.ndarray, b: np.ndarray):
 
 def solve_qp(cost: CostSpec, eq: EqualitySystem,
              ineq: AffineInequalities | None = None,
-             max_iter: int | None = None) -> QpSolution:
+             max_iter: int | None = None,
+             working: list | None = None) -> QpSolution:
     """Minimise x^T H x subject to A x = b and optionally G x <= h.
 
     Equality-only problems solve one saddle-point KKT system.  Inequalities
@@ -330,12 +337,20 @@ def solve_qp(cost: CostSpec, eq: EqualitySystem,
     equalities, drop rows with negative multipliers, add the most violated
     row, repeat.  The Hessian may be singular as long as it is positive
     definite on the constraint null space.
+
+    working optionally names inequality rows to start from, typically the
+    final working set of a neighbouring problem (a warm start).  When a
+    KKT system of a warm-started loop turns out singular, the warm set is
+    dropped and the loop starts again from the empty set, so a stale warm
+    set is never reported as Infeasible.
     """
     H, A, b = cost.H, eq.A, eq.b
     n = H.shape[0]
     if max_iter is None:
         max_iter = 100 * n
-    working: list[int] = []
+    working = list(working or [])
+    warm = bool(working)
+    iterations = 0
     x = lam = mu_w = None
     for _ in range(max_iter):
         if working:
@@ -343,9 +358,13 @@ def solve_qp(cost: CostSpec, eq: EqualitySystem,
             b_all = np.concatenate([b, ineq.h[working]])
         else:
             A_all, b_all = A, b
+        iterations += 1
         try:
             x, lam_all = _kkt_solve(H, A_all, b_all)
         except RankDeficient:
+            if warm:
+                warm, working = False, []
+                continue
             if working:
                 raise Infeasible(
                     "active corridor row dependent on existing constraints; "
@@ -389,7 +408,7 @@ def solve_qp(cost: CostSpec, eq: EqualitySystem,
     return QpSolution(x=x, objective=float(x @ H @ x),
                       eq_residual=eq_residual, ineq_violation=violation,
                       kkt_stationarity=stationarity, active_set=active,
-                      lam=lam, mu=mu)
+                      lam=lam, mu=mu, working=working, iterations=iterations)
 
 
 @dataclass

@@ -89,7 +89,8 @@ def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
 
 @pytest.mark.parametrize("command, flag, value", [
     ("members", "--count", "-1"), ("members", "--samples", "0"),
-    ("verify", "--count", "-1")])
+    ("verify", "--count", "-1"), ("verify", "--samples", "0"),
+    ("verify", "--samples", "-3")])
 def test_bad_member_arguments_exit_2(triangle_tube, tmp_path, capsys,
                                      command, flag, value):
     argv = [command, "--tube", str(triangle_tube), flag, value]

@@ -10,6 +10,7 @@ from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters,
                              avoidance_halfspaces, boundary_margin,
                              compute_metrics, hull_inequalities, mpc_step,
                              reference_window, simulate, _position_rows)
+from tubeplan import trajopt
 from tubeplan.trajopt import (PiecewisePolynomial, RankDeficient,
                               assemble_cost, assemble_equality, solve_qp)
 from tubeplan.tube import OptimalVirtualTube, TrajectoryConfig
@@ -154,7 +155,7 @@ def test_mpc_step_structure():
     window = _linear_window()
     config = MpcConfig()
     state = window.states[0].copy()
-    u0, plan, slack = mpc_step(state, window, None, config)
+    u0, plan, slack, _ = mpc_step(state, window, None, config)
     assert plan.shape == window.states.shape
     assert np.allclose(plan[0], state, atol=1e-9)
     assert slack == pytest.approx(0.0, abs=1e-9)
@@ -186,7 +187,7 @@ def test_mpc_step_matches_state_space_kkt():
                               AvoidanceModel(axes=np.array([0.5, 0.5])))
     boxes = _position_rows([None] * N, window,
                            MpcConfig(boundary_tolerance=5.0))
-    u0, plan, slack = mpc_step(state, window, hs, config, boxes)
+    u0, plan, slack, _ = mpc_step(state, window, hs, config, boxes)
 
     # independent oracle: the uncondensed QP over z = [x~_0..x~_N,
     # u~_0..u~_{N-1}] with the error dynamics as equalities, one KKT solve
@@ -216,7 +217,7 @@ def test_mpc_step_matches_state_space_kkt():
     assert slack == pytest.approx(0.0, abs=1e-12)
 
 
-def test_mpc_step_holds_active_rows():
+def test_mpc_step_holds_active_rows(monkeypatch):
     N, d = 6, 2
     window = _curved_window(N)
     config = MpcConfig(boundary_tolerance=0.2)
@@ -226,7 +227,29 @@ def test_mpc_step_holds_active_rows():
     hs = avoidance_halfspaces(window.states[:, :d], neighbor,
                               AvoidanceModel(axes=np.array([0.5, 0.5])))
     boxes = _position_rows([None] * N, window, config)
-    u0, plan, slack = mpc_step(state, window, hs, config, boxes)
+    solves = []
+    kkt_solve = trajopt._kkt_solve
+
+    def counted(*args):
+        solves.append(1)
+        return kkt_solve(*args)
+
+    monkeypatch.setattr(trajopt, "_kkt_solve", counted)
+    u0, plan, slack, warm = mpc_step(state, window, hs, config, boxes)
+    cold = len(solves)
+    assert cold > 1
+    # warm-started from its own final working set, one KKT solve suffices
+    u0_w, plan_w, _, warm_w = mpc_step(state, window, hs, config, boxes,
+                                       warm)
+    assert len(solves) == cold + 1 and warm_w == warm
+    assert np.array_equal(u0_w, u0) and np.array_equal(plan_w, plan)
+    # a stale set pinning both bounds of one input fails its first solve
+    # and is dropped for a cold start
+    u0_s, plan_s, _, _ = mpc_step(state, window, hs, config, boxes,
+                                  (warm[0], [0, 1]))
+    assert len(solves) == 2 * cold + 2
+    assert np.abs(u0_s - u0).max() <= 1e-12
+    assert np.abs(plan_s - plan).max() <= 1e-12
     dyn = DiscreteDynamics(config.timestep, d)
     assert np.abs(plan[0] - state).max() <= 1e-12
     assert np.abs(plan[1] - (dyn.A @ state + dyn.B @ u0)).max() <= 1e-9
@@ -245,7 +268,8 @@ def test_mpc_step_respects_input_limit():
     # reference already holds the goal at 2; the robot sits at 0
     window = reference_window(traj, scaling, 10.0, 10, 0.1)
     config = MpcConfig(input_limit=0.5)
-    u0, plan, slack = mpc_step(np.array([0.0, 0.0]), window, None, config)
+    u0, plan, slack, _ = mpc_step(np.array([0.0, 0.0]), window, None,
+                                  config)
     assert u0[0] == pytest.approx(0.5, abs=1e-8)
     assert slack == pytest.approx(0.0, abs=1e-9)
 

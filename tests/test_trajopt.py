@@ -114,6 +114,15 @@ def test_solve_full_pivot_rejects_singular():
         solve_full_pivot(M, np.array([1.0, 1.0]))
 
 
+def test_solve_full_pivot_rejects_late_rank_loss():
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((6, 6))
+    M[5] = M[:5].T @ np.array([0.5, -1.25, 2.0, 0.75, -0.3])
+    # complete pivoting finds five good pivots before the rank runs out
+    with pytest.raises(RankDeficient, match="at step 5 of 6"):
+        solve_full_pivot(M, rng.standard_normal(6))
+
+
 def test_qp_minimum_norm_on_a_line():
     cost = CostSpec(np.eye(2), 0)
     eq = EqualitySystem(np.array([[1.0, 1.0]]), np.array([2.0]))
@@ -164,6 +173,15 @@ def test_qp_active_inequality():
     assert sol.mu[0] == pytest.approx(4.0)
     assert sol.mu.min() >= -1e-10
     assert sol.kkt_stationarity <= 1e-8
+    # cold: one solve without the row, one with it
+    assert sol.working == [0] and sol.iterations == 2
+    warm = solve_qp(cost, eq, ineq, working=sol.working)
+    assert warm.iterations == 1
+    assert np.array_equal(warm.x, sol.x)
+    # a warm set with dependent rows is dropped, never reported infeasible
+    stale = solve_qp(cost, eq, ineq, working=[0, 0])
+    assert stale.iterations == 3
+    assert np.array_equal(stale.x, sol.x)
 
 
 def test_qp_without_equalities():
