@@ -8,7 +8,7 @@ with pairwise collision avoidance and cross-section containment.
 """
 
 from .geometry import (OrderPairSet, Terminal, assign_vertices,
-                       barycentric_weights, equispaced_weights, map_point)
+                       barycentric_weights, equispaced_weights)
 from .knots import KnotVector, chord_length_knots, normalize_knots, public_knots
 from .mpcsim import (AvoidanceModel, DiscreteDynamics, Metrics, MpcConfig,
                      SimLog, TimeScaling, compute_metrics, simulate)
@@ -20,7 +20,8 @@ from .trajopt import (PiecewisePolynomial, QpSolution, assemble_cost,
                       assemble_equality, basis_row, evaluate, solve_qp)
 from .tube import (OptimalVirtualTube, TrajectoryConfig, build_tube,
                    combination_benchmark, cross_section, direct_member_solve,
-                   member_trajectory, verify_member_optimality)
+                   member_trajectory, tube_from_waypoints,
+                   verify_member_optimality)
 
 __version__ = "0.1.0"
 
@@ -34,7 +35,8 @@ __all__ = [
     "compute_metrics", "cross_section", "direct_member_solve",
     "equalize_waypoints", "equispaced_weights", "evaluate",
     "find_homotopic_paths", "find_path", "load_scenario", "load_tube",
-    "map_point", "member_trajectory", "normalize_knots", "public_knots",
+    "member_trajectory", "normalize_knots", "public_knots",
     "save_log", "save_metrics", "save_tube", "simplify_path", "simulate",
-    "solve_qp", "verify_member_optimality", "__version__",
+    "solve_qp", "tube_from_waypoints", "verify_member_optimality",
+    "__version__",
 ]

@@ -50,6 +50,9 @@ def _member_weights(count: int, q: int, seed) -> np.ndarray:
     """
     if count < 0:
         raise ValidationError(f"--count must be nonnegative, got {count}")
+    if seed is not None and seed < 0:
+        raise ValidationError(
+            f"--seed-override must be nonnegative, got {seed}")
     if seed is None:
         extra = (0.5 * equispaced_weights(count, q) + 0.5 / q
                  if count else np.zeros((0, q)))
@@ -113,8 +116,6 @@ def cmd_verify(args) -> int:
               f"  obj_rel_err={report.objective_rel_error:.3e}"
               f"  eq_res={report.eq_residual:.3e}"
               f"  variational={report.variational_min:.3e}")
-        for note in report.findings:
-            print(f"  note: {note}")
         if not report.passed:
             failures += 1
     rows = combination_benchmark(tube, counts=(args.count or 10,))
@@ -201,7 +202,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as err:    # argparse has printed usage and the error
+        return err.code
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as err:

@@ -44,15 +44,30 @@ def _min_norm_weights(vertices: np.ndarray, point: np.ndarray,
     least-squares solve, and release clamped weights whose multiplier turns
     negative.  Feasibility is judged by the caller via the reconstruction
     residual.
+
+    Each step depends only on the free set, so a repeated free set (points
+    outside the hull clamp and release the same weight) starts a cycle; the
+    loop then returns the weights that cycle would hold after max_iter steps.
     """
     q, _ = vertices.shape
     A = np.vstack([vertices.T, np.ones((1, q))])
     b = np.append(point, 1.0)
     free = np.ones(q, dtype=bool)
     theta = np.zeros(q)
-    for _ in range(max_iter):
+    first_seen = {}     # free set -> step at which it was first solved
+    assigned = []       # weights assigned at each step, or None
+    for step in range(max_iter):
         if not free.any():
             break
+        key = free.tobytes()
+        if key in first_seen:
+            cycle = assigned[first_seen[key]:]
+            k = (max_iter - 1 - first_seen[key]) % len(cycle)
+            theta = next((t for t in cycle[k::-1] + cycle[:k:-1]
+                          if t is not None), theta)
+            break
+        first_seen[key] = step
+        assigned.append(None)
         tf, *_ = np.linalg.lstsq(A[:, free], b, rcond=None)
         if tf.min() < -1e-12:
             worst = np.flatnonzero(free)[np.argmin(tf)]
@@ -60,6 +75,7 @@ def _min_norm_weights(vertices: np.ndarray, point: np.ndarray,
             continue
         theta = np.zeros(q)
         theta[free] = tf
+        assigned[-1] = theta
         # KKT: theta + A.T @ lam - mu = 0 with mu = 0 on the free set.
         lam, *_ = np.linalg.lstsq(A[:, free].T, -tf, rcond=None)
         mu = theta + A.T @ lam
@@ -200,17 +216,6 @@ def assign_vertices(starts: Terminal, goals: Terminal,
             best_cost = cost
             best_perm = perm
     return OrderPairSet(starts, goals, np.array(best_perm))
-
-
-def map_point(pairs: OrderPairSet, point) -> np.ndarray:
-    """Image of a start-terminal point under the vertex-pairing map.
-
-    Decomposes the point into barycentric weights over the start vertices
-    and recombines them over the paired goal vertices.  Linear whenever the
-    weights are unique (q <= d + 1 terminals).
-    """
-    theta = barycentric_weights(point, pairs.starts)
-    return pairs.paired_goals().T @ theta
 
 
 def _compositions(total: int, parts: int):

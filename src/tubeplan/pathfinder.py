@@ -275,13 +275,6 @@ def _point_at_arc(pts: np.ndarray, cum: np.ndarray, s: float) -> np.ndarray:
     return pts[j] + w * (pts[j + 1] - pts[j])
 
 
-def path_point_at_fraction(pts, fraction: float) -> np.ndarray:
-    """Point at a given fraction of a polyline's arc length."""
-    pts = np.asarray(pts, dtype=float)
-    cum = _arc_lengths(pts)
-    return _point_at_arc(pts, cum, fraction * cum[-1])
-
-
 def check_homotopy(paths, obstacles: ObstacleSet, samples: int = 41) -> None:
     """Verify no obstacle separates any two paths.
 

@@ -5,6 +5,8 @@ booleans), unknown schema versions are rejected, and every default is
 materialized on load so the in-memory scenario is fully explicit.  Tubes
 round-trip through JSON exactly: floats are written with repr precision
 (17 significant digits), which is bit-faithful for IEEE doubles.
+``TrajectoryConfig`` checks the trajectory settings of both documents, and
+``tube.tube_structure`` rebuilds a loaded tube's structure as planning does.
 """
 
 import csv
@@ -20,10 +22,7 @@ from .geometry import (PointOutsideHull, Terminal, barycentric_weights,
 from .knots import KnotVector
 from .mpcsim import AvoidanceModel, Metrics, MpcConfig, SimLog
 from .pathfinder import ObstacleSet, RrtConfig
-from .trajopt import assemble_cost, assemble_equality
-from .tube import (OptimalVirtualTube, TrajectoryConfig, _shared_corridor,
-                   CORRIDOR_MODES)
-from .trajopt import CorridorSpec, corridor_constraints
+from .tube import OptimalVirtualTube, TrajectoryConfig, tube_structure
 
 SCHEMA_VERSION = 1
 # largest |A basis_x - basis_b| entry a loaded tube may carry
@@ -46,18 +45,26 @@ class IoError(OSError):
     """Wraps filesystem errors from reads and writes."""
 
 
-def _read_json(path):
+def _read_document(path) -> dict:
+    """A JSON object of the supported schema version, read from path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise IoError(f"cannot read {path}: {err}") from err
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(
             f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: "
             f"{err.msg}") from err
+    if not isinstance(doc, dict):
+        raise ValidationError("top level must be an object")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise VersionError(f"schema_version {version!r} unsupported "
+                           f"(expected {SCHEMA_VERSION})")
+    return doc
 
 
 def _write_json(doc, path):
@@ -155,17 +162,13 @@ def _hulls_intersect(U: np.ndarray, W: np.ndarray) -> bool:
 
 def load_scenario(path) -> Scenario:
     """Parse, validate, and materialize a scenario file."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError("top level must be an object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise VersionError(f"schema_version {version!r} unsupported "
-                           f"(expected {SCHEMA_VERSION})")
+    doc = _read_document(path)
     dim = _integer(doc.get("dimension", 2), "dimension")
     if dim not in (2, 3):
         raise ValidationError("dimension must be 2 or 3")
     rng_seed = _integer(doc.get("rng_seed", 0), "rng_seed")
+    if rng_seed < 0:
+        raise ValidationError("rng_seed must be nonnegative")
 
     obs_doc = _section(doc, "obstacles")
     inflation = _number(obs_doc.get("inflation", 0.0), "obstacles.inflation")
@@ -248,11 +251,7 @@ def load_scenario(path) -> Scenario:
 
     poly = _section(planner, "polynomial")
     corridor = _section(planner, "corridor")
-    mode = corridor.get("mode", "strict")
-    if mode not in CORRIDOR_MODES:
-        raise ValidationError(
-            f"planner.corridor.mode must be one of {CORRIDOR_MODES}")
-    traj = TrajectoryConfig(
+    settings = dict(
         order=_integer(poly.get("order", 5), "planner.polynomial.order"),
         cost_deriv=_integer(poly.get("cost_derivative", 3),
                             "planner.polynomial.cost_derivative"),
@@ -263,11 +262,11 @@ def load_scenario(path) -> Scenario:
                                "planner.corridor.width"),
         corridor_samples=_integer(corridor.get("samples_per_segment", 3),
                                   "planner.corridor.samples_per_segment"),
-        corridor_mode=mode)
-    if traj.order < 1 or traj.cost_deriv < 1 or traj.cost_deriv > traj.order:
-        raise ValidationError("planner.polynomial: invalid order/derivative")
-    if traj.m_target < 1 or traj.corridor_width <= 0 or traj.corridor_samples < 1:
-        raise ValidationError("planner: invalid segments or corridor settings")
+        corridor_mode=corridor.get("mode", "strict"))
+    try:
+        traj = TrajectoryConfig(**settings)
+    except ValueError as err:
+        raise ValidationError(f"planner: {err}") from err
 
     controller = _section(doc, "controller")
     mpc = MpcConfig(
@@ -328,6 +327,18 @@ def load_scenario(path) -> Scenario:
                     goal_radius=goal_radius)
 
 
+# tube document "config" key -> (TrajectoryConfig field, parser)
+_TUBE_CONFIG = {
+    "order": ("order", _integer),
+    "cost_derivative": ("cost_deriv", _integer),
+    "continuity": ("continuity", _integer),
+    "segments": ("m_target", _integer),
+    "corridor_width": ("corridor_width", _number),
+    "corridor_samples": ("corridor_samples", _integer),
+    "corridor_mode": ("corridor_mode", lambda val, path: val),
+}
+
+
 def save_tube(tube: OptimalVirtualTube, path) -> None:
     """Serialize a tube to JSON with bit-faithful coefficients."""
     cfg = tube.config
@@ -335,15 +346,8 @@ def save_tube(tube: OptimalVirtualTube, path) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": "virtual-tube",
         "dimension": tube.dim,
-        "config": {
-            "order": cfg.order,
-            "cost_derivative": cfg.cost_deriv,
-            "continuity": cfg.continuity,
-            "segments": cfg.m_target,
-            "corridor_width": cfg.corridor_width,
-            "corridor_samples": cfg.corridor_samples,
-            "corridor_mode": cfg.corridor_mode,
-        },
+        "config": {key: getattr(cfg, field)
+                   for key, (field, _) in _TUBE_CONFIG.items()},
         "knots": tube.knots.u.tolist(),
         "chord_total": tube.chord_total,
         "start_vertices": tube.pairs.starts.vertices.tolist(),
@@ -359,74 +363,74 @@ def save_tube(tube: OptimalVirtualTube, path) -> None:
 
 def load_tube(path) -> OptimalVirtualTube:
     """Rebuild a tube from JSON; derived matrices are reassembled from the
-    stored knots, waypoints, and configuration."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError("top level must be an object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise VersionError(f"schema_version {version!r} unsupported "
-                           f"(expected {SCHEMA_VERSION})")
+    stored knots, waypoints, and configuration.
+
+    The stored basis must satisfy A x = basis_b, and basis_b must match the
+    right-hand sides rebuilt from the waypoints, both within 1e-8.
+    """
+    doc = _read_document(path)
     if doc.get("kind") != "virtual-tube":
         raise ValidationError("kind must be 'virtual-tube'")
     bad = _non_finite_path(doc)
     if bad is not None:
         raise ValidationError(f"{bad}: number must be finite")
     try:
-        dim = int(doc["dimension"])
-        cfg_doc = doc["config"]
-        cfg = TrajectoryConfig(
-            order=int(cfg_doc["order"]),
-            cost_deriv=int(cfg_doc["cost_derivative"]),
-            continuity=int(cfg_doc["continuity"]),
-            m_target=int(cfg_doc["segments"]),
-            corridor_width=float(cfg_doc["corridor_width"]),
-            corridor_samples=int(cfg_doc["corridor_samples"]),
-            corridor_mode=cfg_doc["corridor_mode"])
+        dim = _integer(doc["dimension"], "dimension")
+        cfg = TrajectoryConfig(**{
+            field: parse(doc["config"][key], f"config.{key}")
+            for key, (field, parse) in _TUBE_CONFIG.items()})
         knots = KnotVector(np.array(doc["knots"], dtype=float),
                            normalized=True)
-        chord_total = float(doc["chord_total"])
+        chord_total = _number(doc["chord_total"], "chord_total")
         starts = Terminal(np.array(doc["start_vertices"], dtype=float))
         goals = Terminal(np.array(doc["goal_vertices"], dtype=float))
-        pairs = OrderPairSet(starts, goals,
-                             np.array(doc["pairing"], dtype=int))
+        pairing = [_integer(k, f"pairing[{i}]")
+                   for i, k in enumerate(doc["pairing"])]
+        pairs = OrderPairSet(starts, goals, np.array(pairing, dtype=int))
         waypoints = np.array(doc["waypoints"], dtype=float)
         basis_x = np.array(doc["basis_x"], dtype=float)
         basis_b = np.array(doc["basis_b"], dtype=float)
-        qp_solves = int(doc.get("qp_solves", 0))
+        qp_solves = _integer(doc.get("qp_solves", 0), "qp_solves")
     except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"malformed tube document: {err}") from err
     if waypoints.ndim != 3 or waypoints.shape[0] != pairs.count:
         raise ValidationError("waypoints shape mismatch")
-
-    system = assemble_equality(waypoints[0], knots, cfg.order, cfg.continuity)
-    cost = assemble_cost(knots, cfg.cost_deriv, cfg.order, dim)
-    corridor = None
-    pair_corridors = None
-    if cfg.corridor_mode == "strict":
-        corridor = _shared_corridor(waypoints, knots, cfg)
-    elif cfg.corridor_mode == "loose":
-        spec = CorridorSpec(np.asarray(cfg.corridor_width),
-                            cfg.corridor_samples)
-        pair_corridors = [corridor_constraints(w, knots, spec, cfg.order)
-                          for w in waypoints]
-    rows, cols = system.A.shape
+    if dim not in (2, 3) or pairs.dim != dim or waypoints.shape[2] != dim:
+        raise ValidationError(
+            f"dimension {dim} must be 2 or 3 and match the {pairs.dim}-D "
+            f"vertices and {waypoints.shape[2]}-D waypoints")
+    if chord_total <= 0:
+        raise ValidationError("chord_total must be positive")
+    if knots.segments != cfg.m_target:
+        raise ValidationError(f"config.segments is {cfg.m_target}, but the "
+                              f"knots span {knots.segments} segments")
+    try:
+        systems, cost, corridor = tube_structure(waypoints, knots, cfg)
+    except ValueError as err:
+        raise ValidationError(f"tube structure: {err}") from err
+    A = systems[0].A
+    rows, cols = A.shape
     if (basis_x.shape != (pairs.count, cols)
             or basis_b.shape != (pairs.count, rows)):
         raise ValidationError(
             f"basis arrays inconsistent with configuration: "
-            f"A is {system.A.shape}, basis_x is {basis_x.shape}, "
+            f"A is {A.shape}, basis_x is {basis_x.shape}, "
             f"basis_b is {basis_b.shape}")
-    residual = float(np.abs(system.A @ basis_x.T - basis_b.T).max())
+    residual = float(np.abs(A @ basis_x.T - basis_b.T).max())
     if residual > _BASIS_TOL:
         raise ValidationError(
             f"basis_x misses A x = basis_b by {residual:.3e} "
             f"(tolerance {_BASIS_TOL:.0e})")
+    drift = float(np.abs(np.array([s.b for s in systems]) - basis_b).max())
+    if drift > _BASIS_TOL:
+        raise ValidationError(
+            f"basis_b differs from the right-hand sides rebuilt from the "
+            f"waypoints by {drift:.3e} (tolerance {_BASIS_TOL:.0e})")
     return OptimalVirtualTube(
         pairs=pairs, config=cfg, knots=knots, chord_total=chord_total,
-        waypoints=waypoints, A=system.A, blocks=system.blocks,
+        waypoints=waypoints, A=A, blocks=systems[0].blocks,
         basis_x=basis_x, basis_b=basis_b, cost=cost, corridor=corridor,
-        pair_corridors=pair_corridors, solutions=None, qp_solves=qp_solves)
+        solutions=None, qp_solves=qp_solves)
 
 
 def save_log(log: SimLog, path) -> None:

@@ -5,11 +5,13 @@ All basis problems share the same equality matrix, cost Hessian, and (in
 strict corridor mode) the same inequality rows; only the right-hand sides
 differ.  Any member with simplex weights theta is then optimal for the
 combined right-hand side and costs one matrix-vector product instead of a
-full QP solve.
+full QP solve.  ``tube_structure`` is the one place that derives this
+shared structure: planning (``build_tube`` through ``tube_from_waypoints``)
+and loading (``scenario_io.load_tube``) both call it.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +20,12 @@ from .knots import (KnotVector, chord_length_knots, normalize_knots,
                     public_knots)
 from .pathfinder import (ObstacleSet, RrtConfig, equalize_waypoints,
                          find_homotopic_paths)
-from .trajopt import (AffineInequalities, BoundarySpec, CorridorSpec,
-                      CostSpec, EqualitySystem, OutOfDomain, PiecewisePolynomial,
-                      QpSolution, assemble_cost, assemble_equality,
-                      corridor_constraints, solve_qp)
+from .trajopt import (AffineInequalities, CorridorSpec, CostSpec,
+                      EqualitySystem, PiecewisePolynomial, QpSolution,
+                      assemble_cost, assemble_equality, corridor_constraints,
+                      solve_qp)
 
-CORRIDOR_MODES = ("strict", "loose", "none")
+CORRIDOR_MODES = ("strict", "none")
 
 
 class InvalidWeights(ValueError):
@@ -32,7 +34,11 @@ class InvalidWeights(ValueError):
 
 @dataclass
 class TrajectoryConfig:
-    """Polynomial, equalization, and corridor settings for a tube build."""
+    """Polynomial, equalization, and corridor settings for a tube build.
+
+    Every check on these settings lives here; scenario and tube loaders
+    turn the ValueError into a validation error.
+    """
 
     order: int = 5
     cost_deriv: int = 3
@@ -43,10 +49,20 @@ class TrajectoryConfig:
     corridor_mode: str = "strict"
 
     def __post_init__(self):
-        if self.corridor_mode not in CORRIDOR_MODES:
-            raise ValueError(f"corridor_mode must be one of {CORRIDOR_MODES}")
-        if self.continuity > self.order:
-            raise ValueError("continuity cannot exceed polynomial order")
+        for ok, rule in (
+                (self.order >= 1, "order must be at least 1"),
+                (1 <= self.cost_deriv <= self.order,
+                 "cost derivative must be in [1, order]"),
+                (0 <= self.continuity <= self.order,
+                 "continuity must be in [0, order]"),
+                (self.m_target >= 1, "segments must be at least 1"),
+                (self.corridor_width > 0, "corridor width must be positive"),
+                (self.corridor_samples >= 1,
+                 "corridor samples must be at least 1"),
+                (self.corridor_mode in CORRIDOR_MODES,
+                 f"corridor mode must be one of {CORRIDOR_MODES}")):
+            if not ok:
+                raise ValueError(rule)
 
 
 @dataclass
@@ -64,7 +80,6 @@ class OptimalVirtualTube:
     basis_b: np.ndarray          # (q, rows) stacked right-hand sides
     cost: CostSpec
     corridor: AffineInequalities | None          # shared rows (strict mode)
-    pair_corridors: list | None                  # per-pair rows (loose mode)
     solutions: list | None                       # build-time audits, if any
     qp_solves: int
 
@@ -93,15 +108,27 @@ def check_weights(theta, count: int) -> np.ndarray:
     return np.clip(theta, 0.0, None)
 
 
-def _shared_corridor(waypoints: np.ndarray, knots: KnotVector,
-                     config: TrajectoryConfig) -> AffineInequalities:
-    """One corridor around the mean polyline, wide enough to contain every
-    pair's own corridor.
+def tube_structure(waypoints: np.ndarray, knots: KnotVector,
+                   config: TrajectoryConfig):
+    """What every basis problem of a tube shares, from its (q, m + 1, d)
+    waypoints, knots and settings.
 
-    Widths per segment grow by the largest perpendicular offset of any
-    pair's waypoints from the mean chord, so each basis problem stays
-    feasible while all problems share identical inequality rows.
+    Returns ``(systems, cost, corridor)``: one equality system per pair
+    (the matrix depends only on the knots and the polynomial settings, so
+    the systems differ only in their right-hand sides), the cost, and the
+    shared corridor rows, or None when ``corridor_mode`` is "none".
+
+    The corridor runs around the mean polyline.  Widths per segment grow
+    by the largest perpendicular offset of any pair's waypoints from the
+    mean chord, so each basis problem stays feasible while all problems
+    share identical inequality rows.
     """
+    systems = [assemble_equality(p, knots, config.order, config.continuity)
+               for p in waypoints]
+    cost = assemble_cost(knots, config.cost_deriv, config.order,
+                         waypoints.shape[2])
+    if config.corridor_mode == "none":
+        return systems, cost, None
     mean = waypoints.mean(axis=0)
     m = mean.shape[0] - 1
     dim = mean.shape[1]
@@ -116,57 +143,37 @@ def _shared_corridor(waypoints: np.ndarray, knots: KnotVector,
             offset = max(offset, np.abs(deltas @ P.T).max())
         widths[seg] = config.corridor_width + offset
     spec = CorridorSpec(widths, config.corridor_samples)
-    return corridor_constraints(mean, knots, spec, config.order)
+    return systems, cost, corridor_constraints(mean, knots, spec, config.order)
+
+
+def tube_from_waypoints(pairs: OrderPairSet, waypoints,
+                        config: TrajectoryConfig) -> OptimalVirtualTube:
+    """Solve the q basis QPs of a tube whose equalized paths are given.
+
+    The shared knot vector is the normalized mean of the per-pair
+    chord-length knots.
+    """
+    waypoints = np.asarray(waypoints, dtype=float)
+    shared_u = public_knots([chord_length_knots(p) for p in waypoints])
+    knots = normalize_knots(shared_u)
+    systems, cost, corridor = tube_structure(waypoints, knots, config)
+    solutions = [solve_qp(cost, system, corridor) for system in systems]
+    return OptimalVirtualTube(
+        pairs=pairs, config=config, knots=knots,
+        chord_total=shared_u.total, waypoints=waypoints, A=systems[0].A,
+        blocks=systems[0].blocks,
+        basis_x=np.array([s.x for s in solutions]),
+        basis_b=np.array([s.b for s in systems]), cost=cost,
+        corridor=corridor, solutions=solutions, qp_solves=len(solutions))
 
 
 def build_tube(pairs: OrderPairSet, obstacles: ObstacleSet,
                rrt_config: RrtConfig, traj_config: TrajectoryConfig
                ) -> OptimalVirtualTube:
-    """Plan q homotopic paths and solve q basis QPs sharing one structure.
-
-    The shared knot vector is the normalized mean of the per-pair
-    chord-length knots; the equality matrix depends only on knots and
-    polynomial settings, so it is assembled once and reused.
-    """
+    """Plan q homotopic paths, equalize them, and solve the basis QPs."""
     paths = find_homotopic_paths(pairs, obstacles, rrt_config)
     paths = equalize_waypoints(paths, traj_config.m_target)
-    waypoints = np.array(paths)
-    per_pair = [chord_length_knots(p) for p in paths]
-    shared_u = public_knots(per_pair)
-    knots = normalize_knots(shared_u)
-
-    order = traj_config.order
-    continuity = traj_config.continuity
-    dim = pairs.dim
-    systems = [assemble_equality(p, knots, order, continuity) for p in paths]
-    A = systems[0].A
-    basis_b = np.array([s.b for s in systems])
-    cost = assemble_cost(knots, traj_config.cost_deriv, order, dim)
-
-    corridor = None
-    pair_corridors = None
-    if traj_config.corridor_mode == "strict":
-        corridor = _shared_corridor(waypoints, knots, traj_config)
-    elif traj_config.corridor_mode == "loose":
-        spec = CorridorSpec(np.asarray(traj_config.corridor_width),
-                            traj_config.corridor_samples)
-        pair_corridors = [
-            corridor_constraints(p, knots, spec, order) for p in paths]
-
-    solutions = []
-    for k, system in enumerate(systems):
-        ineq = corridor
-        if pair_corridors is not None:
-            ineq = pair_corridors[k]
-        solutions.append(solve_qp(cost, system, ineq))
-    basis_x = np.array([s.x for s in solutions])
-
-    return OptimalVirtualTube(
-        pairs=pairs, config=traj_config, knots=knots,
-        chord_total=shared_u.total, waypoints=waypoints, A=A,
-        blocks=systems[0].blocks, basis_x=basis_x, basis_b=basis_b,
-        cost=cost, corridor=corridor, pair_corridors=pair_corridors,
-        solutions=solutions, qp_solves=len(solutions))
+    return tube_from_waypoints(pairs, paths, traj_config)
 
 
 def combine_rhs(tube: OptimalVirtualTube, theta) -> np.ndarray:
@@ -188,11 +195,8 @@ def member_trajectory(tube: OptimalVirtualTube, theta) -> PiecewisePolynomial:
 
 
 def direct_member_solve(tube: OptimalVirtualTube, theta) -> QpSolution:
-    """Solve the member's QP from scratch (reference for verification).
-
-    Uses the shared corridor rows in strict mode; loose-mode members have
-    no common inequality set, so the direct solve is equality-only there.
-    """
+    """Solve the member's QP from scratch (reference for verification),
+    with the tube's shared corridor rows, if it has any."""
     b = combine_rhs(tube, theta)
     eq = EqualitySystem(tube.A, b, tube.blocks)
     return solve_qp(tube.cost, eq, tube.corridor)
@@ -206,8 +210,6 @@ class MemberVerification:
     coefficient_error: float
     objective_rel_error: float
     variational_min: float
-    active_basis: list
-    findings: list
     passed: bool
 
 
@@ -282,21 +284,6 @@ def verify_member_optimality(tube: OptimalVirtualTube, theta,
     if not np.isfinite(variational_min):
         variational_min = 0.0
 
-    active_basis = []
-    if tube.corridor is not None:
-        for k in range(tube.count):
-            if (tube.corridor.residuals(tube.basis_x[k]) >= -1e-8).any():
-                active_basis.append(k)
-    elif tube.pair_corridors is not None:
-        for k, rows in enumerate(tube.pair_corridors):
-            if (rows.residuals(tube.basis_x[k]) >= -1e-8).any():
-                active_basis.append(k)
-    findings = []
-    if tube.config.corridor_mode == "loose" and active_basis:
-        findings.append(
-            "corridor rows active on basis solutions "
-            f"{active_basis} but not shared across the bundle; member "
-            "optimality may not transfer")
     passed = (eq_residual <= 1e-8 and corridor_violation <= 1e-8
               and coefficient_error <= 1e-6
               and objective_rel_error <= 1e-8
@@ -306,8 +293,7 @@ def verify_member_optimality(tube: OptimalVirtualTube, theta,
         corridor_violation=corridor_violation,
         coefficient_error=coefficient_error,
         objective_rel_error=objective_rel_error,
-        variational_min=variational_min, active_basis=active_basis,
-        findings=findings, passed=passed)
+        variational_min=variational_min, passed=passed)
 
 
 @dataclass

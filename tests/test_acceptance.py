@@ -14,14 +14,12 @@ import pytest
 
 from tubeplan.cli import plan_tube
 from tubeplan.geometry import OrderPairSet, Terminal
-from tubeplan.knots import chord_length_knots, normalize_knots, public_knots
 from tubeplan.mpcsim import compute_metrics, simulate
 from tubeplan.scenario_io import load_scenario
-from tubeplan.trajopt import (assemble_cost, assemble_equality, basis_row,
-                              solve_qp)
-from tubeplan.tube import (OptimalVirtualTube, TrajectoryConfig,
-                           _shared_corridor, direct_member_solve,
-                           member_trajectory, verify_member_optimality)
+from tubeplan.trajopt import basis_row
+from tubeplan.tube import (TrajectoryConfig, direct_member_solve,
+                           member_trajectory, tube_from_waypoints,
+                           verify_member_optimality)
 
 AUDITED = []   # (label, QpSolution) pairs accumulated by every criterion
 TUBES = []     # (label, tube) pairs whose trajectories get the hygiene audit
@@ -88,19 +86,7 @@ def straight_tube(segments, length=0.2, gap=0.04):
     config = TrajectoryConfig(m_target=segments, corridor_width=gap)
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
-    knots = normalize_knots(
-        public_knots([chord_length_knots(p) for p in waypoints]))
-    systems = [assemble_equality(p, knots, config.order, config.continuity)
-               for p in waypoints]
-    cost = assemble_cost(knots, config.cost_deriv, config.order, 2)
-    corridor = _shared_corridor(waypoints, knots, config)
-    sols = [solve_qp(cost, s, corridor) for s in systems]
-    return OptimalVirtualTube(
-        pairs=pairs, config=config, knots=knots, chord_total=length,
-        waypoints=waypoints, A=systems[0].A, blocks=systems[0].blocks,
-        basis_x=np.array([s.x for s in sols]),
-        basis_b=np.array([s.b for s in systems]), cost=cost,
-        corridor=corridor, pair_corridors=None, solutions=sols, qp_solves=2)
+    return tube_from_waypoints(pairs, waypoints, config)
 
 
 @pytest.fixture(scope="module")

@@ -69,13 +69,25 @@ def test_verify_flags_tampered_tube(triangle_tube, tmp_path, capsys):
     assert "failed verification" in captured.err
 
 
-@pytest.mark.parametrize("field, value", [("basis_x", 0.05),
-                                          ("basis_x", float("nan")),
-                                          ("basis_b", float("inf"))])
+@pytest.mark.parametrize("field, value", [
+    ("basis_x", 0.05), ("basis_x", float("nan")), ("basis_b", float("inf")),
+    ("waypoints", 0.5), ("config.continuity", -1),
+    ("config.corridor_samples", 0), ("config.corridor_samples", -2),
+    ("config.cost_derivative", 9), ("config.corridor_mode", "loose"),
+    ("dimension", 3), ("dimension", "2"), ("dimension", 2.7)])
 def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
                                value):
+    # array fields get value added to their first number, others are set
     doc = json.loads(triangle_tube.read_text(encoding="utf-8"))
-    doc[field][0][0] += value
+    section, _, key = field.rpartition(".")
+    owner = doc[section] if section else doc
+    if isinstance(owner[key], list):
+        row = owner[key][0]
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] += value
+    else:
+        owner[key] = value
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc), encoding="utf-8")
     for command in ("verify", "members"):
@@ -90,7 +102,8 @@ def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
 @pytest.mark.parametrize("command, flag, value", [
     ("members", "--count", "-1"), ("members", "--samples", "0"),
     ("verify", "--count", "-1"), ("verify", "--samples", "0"),
-    ("verify", "--samples", "-3")])
+    ("verify", "--samples", "-3"), ("members", "--seed-override", "-1"),
+    ("verify", "--seed-override", "-2")])
 def test_bad_member_arguments_exit_2(triangle_tube, tmp_path, capsys,
                                      command, flag, value):
     argv = [command, "--tube", str(triangle_tube), flag, value]

@@ -6,7 +6,7 @@ from tubeplan.geometry import (DegenerateTerminal, OrderPairSet,
                                PointOutsideHull, SizeMismatch, Terminal,
                                TooManyVertices, assign_vertices,
                                barycentric_weights, equispaced_weights,
-                               map_point)
+                               _min_norm_weights)
 
 TRI = Terminal(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
@@ -55,6 +55,62 @@ def test_terminal_rejects_duplicates_and_interior_vertices():
     # middle vertex lies on the segment between the others
     with pytest.raises(DegenerateTerminal):
         Terminal(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+
+
+def _capped_min_norm_weights(vertices, point, max_iter=200):
+    """The weight iteration without cycle detection: it runs to its cap."""
+    q = vertices.shape[0]
+    A = np.vstack([vertices.T, np.ones((1, q))])
+    b = np.append(point, 1.0)
+    free = np.ones(q, dtype=bool)
+    theta = np.zeros(q)
+    for _ in range(max_iter):
+        if not free.any():
+            break
+        tf, *_ = np.linalg.lstsq(A[:, free], b, rcond=None)
+        if tf.min() < -1e-12:
+            free[np.flatnonzero(free)[np.argmin(tf)]] = False
+            continue
+        theta = np.zeros(q)
+        theta[free] = tf
+        lam, *_ = np.linalg.lstsq(A[:, free].T, -tf, rcond=None)
+        mu = theta + A.T @ lam
+        clamped = ~free
+        if clamped.any() and mu[clamped].min() < -1e-9:
+            free[np.flatnonzero(clamped)[np.argmin(mu[clamped])]] = True
+            continue
+        break
+    return theta
+
+
+def test_weight_cycles_stop_early_with_the_capped_result(monkeypatch):
+    # outside the hull the iteration clamps and releases the same weights;
+    # stopping at the first repeated free set must return exactly what
+    # running to the cap returns, inside the hull and outside it (this
+    # seed includes cycles that assign two different weight vectors)
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        q, d = rng.integers(2, 7), rng.integers(1, 4)
+        vertices = rng.standard_normal((q, d))
+        point = (rng.dirichlet(np.ones(q)) @ vertices if trial % 2
+                 else vertices[0] + 3.0 * rng.standard_normal(d))
+        for cap in (*range(3, 12), 200):
+            assert np.array_equal(_min_norm_weights(vertices, point, cap),
+                                  _capped_min_norm_weights(vertices, point,
+                                                           cap))
+    # every vertex of a tetrahedron lies outside the hull of the others;
+    # the extreme-point check used to take 300 lstsq calls per vertex
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    Terminal(np.array([[0.0, 0.0, 0.0], [3.0, 8.0, 0.0], [3.0, 0.0, 8.0],
+                       [0.0, 8.0, 8.0]]))
+    assert len(calls) <= 4 * 4
 
 
 def test_terminal_properties():
@@ -112,15 +168,6 @@ def test_order_pair_set_validation():
         OrderPairSet(TRI, goals, np.array([0, 0, 1]))
     pairs = OrderPairSet(TRI, goals, np.array([2, 0, 1]))
     assert np.allclose(pairs.paired_goals()[0], goals.vertices[2])
-
-
-def test_map_point_midpoint():
-    goals = Terminal(TRI.vertices * 2.0 + np.array([5.0, 1.0]))
-    pairs = assign_vertices(TRI, goals)
-    mid = TRI.vertices[:2].mean(axis=0)
-    image = map_point(pairs, mid)
-    assert np.allclose(image, goals.vertices[pairs.pairing[:2]].mean(axis=0),
-                       atol=1e-9)
 
 
 def test_equispaced_weights_centroid_and_segment():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tubeplan.geometry import OrderPairSet, Terminal
-from tubeplan.knots import (KnotVector, chord_length_knots, normalize_knots,
-                            public_knots)
+from tubeplan.knots import KnotVector
 from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters,
                              DiscreteDynamics, MpcConfig, SimLog,
                              StartOutsideTerminal, TimeScaling,
@@ -11,9 +10,8 @@ from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters,
                              compute_metrics, hull_inequalities, mpc_step,
                              reference_window, simulate, _position_rows)
 from tubeplan import trajopt
-from tubeplan.trajopt import (PiecewisePolynomial, RankDeficient,
-                              assemble_cost, assemble_equality, solve_qp)
-from tubeplan.tube import OptimalVirtualTube, TrajectoryConfig
+from tubeplan.trajopt import PiecewisePolynomial, RankDeficient
+from tubeplan.tube import TrajectoryConfig, tube_from_waypoints
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
 
@@ -311,18 +309,7 @@ def straight_pair_tube():
     config = TrajectoryConfig(m_target=6, corridor_mode="none")
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
-    knots = normalize_knots(
-        public_knots([chord_length_knots(p) for p in waypoints]))
-    systems = [assemble_equality(p, knots, config.order, config.continuity)
-               for p in waypoints]
-    cost = assemble_cost(knots, config.cost_deriv, config.order, 2)
-    sols = [solve_qp(cost, s) for s in systems]
-    return OptimalVirtualTube(
-        pairs=pairs, config=config, knots=knots, chord_total=12.0,
-        waypoints=waypoints, A=systems[0].A, blocks=systems[0].blocks,
-        basis_x=np.array([s.x for s in sols]),
-        basis_b=np.array([s.b for s in systems]), cost=cost,
-        corridor=None, pair_corridors=None, solutions=sols, qp_solves=2)
+    return tube_from_waypoints(pairs, waypoints, config)
 
 
 def test_simulate_single_robot_arrives():

@@ -6,8 +6,7 @@ from tubeplan.pathfinder import (HomotopyCheckFailed, InvalidEndpoints,
                                  NoPathFound, ObstacleSet, RrtConfig,
                                  TooFewSegments, check_homotopy,
                                  equalize_waypoints, find_homotopic_paths,
-                                 find_path, path_point_at_fraction,
-                                 simplify_path)
+                                 find_path, simplify_path)
 
 WALL = ObstacleSet((
     (np.array([4.0, -18.0]), np.array([6.0, -2.0])),
@@ -108,14 +107,6 @@ def test_simplify_keeps_needed_corner():
     path = np.array([[0.0, 0.0], [6.0, 0.0], [6.0, 6.0]])
     out = simplify_path(path, obs)
     assert len(out) == 3
-
-
-def test_path_point_at_fraction():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
-    assert np.allclose(path_point_at_fraction(pts, 0.0), [0.0, 0.0])
-    assert np.allclose(path_point_at_fraction(pts, 0.5), [2.0, 0.0])
-    assert np.allclose(path_point_at_fraction(pts, 0.75), [2.0, 1.0])
-    assert np.allclose(path_point_at_fraction(pts, 1.0), [2.0, 2.0])
 
 
 def test_check_homotopy_detects_split_paths():

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from tubeplan.geometry import OrderPairSet, Terminal
-from tubeplan.knots import chord_length_knots, normalize_knots, public_knots
 from tubeplan.mpcsim import Metrics, SimLog
 from tubeplan.scenario_io import (IoError, ParseError, SCHEMA_VERSION,
                                   ValidationError, VersionError,
                                   load_scenario, load_tube, save_log,
                                   save_metrics, save_tube)
-from tubeplan.trajopt import assemble_cost, assemble_equality, solve_qp
-from tubeplan.tube import (OptimalVirtualTube, TrajectoryConfig,
-                           _shared_corridor)
+from tubeplan.tube import TrajectoryConfig, tube_from_waypoints
 
 
 def minimal_doc():
@@ -102,6 +99,9 @@ def test_numbers_must_be_json_numbers(tmp_path):
     doc = minimal_doc()
     doc["rng_seed"] = 1.5
     expect_invalid(tmp_path, doc, "expected an integer")
+    doc = minimal_doc()
+    doc["rng_seed"] = -1
+    expect_invalid(tmp_path, doc, "rng_seed must be nonnegative")
 
 
 def test_terminals_required_equal_and_disjoint(tmp_path):
@@ -158,6 +158,15 @@ def test_geometry_and_planner_settings_are_validated(tmp_path):
     doc = minimal_doc()
     doc["planner"] = {"corridor": {"mode": "banana"}}
     expect_invalid(tmp_path, doc, "corridor.mode")
+    # the loose mode, whose members carry no optimality guarantee, is gone
+    doc = minimal_doc()
+    doc["planner"] = {"corridor": {"mode": "loose"}}
+    expect_invalid(tmp_path, doc, "must be one of")
+    for continuity in (-1, 6):
+        doc = minimal_doc()
+        doc["planner"] = {"polynomial": {"order": 5,
+                                         "continuity": continuity}}
+        expect_invalid(tmp_path, doc, r"continuity must be in \[0, order\]")
     doc = minimal_doc()
     doc["time_limit"] = -5.0
     expect_invalid(tmp_path, doc, "nonnegative")
@@ -171,20 +180,7 @@ def hand_tube(corridor_mode):
     config = TrajectoryConfig(m_target=6, corridor_mode=corridor_mode)
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
-    knots = normalize_knots(
-        public_knots([chord_length_knots(p) for p in waypoints]))
-    systems = [assemble_equality(p, knots, config.order, config.continuity)
-               for p in waypoints]
-    cost = assemble_cost(knots, config.cost_deriv, config.order, 2)
-    corridor = (_shared_corridor(waypoints, knots, config)
-                if corridor_mode == "strict" else None)
-    sols = [solve_qp(cost, s, corridor) for s in systems]
-    return OptimalVirtualTube(
-        pairs=pairs, config=config, knots=knots, chord_total=12.0,
-        waypoints=waypoints, A=systems[0].A, blocks=systems[0].blocks,
-        basis_x=np.array([s.x for s in sols]),
-        basis_b=np.array([s.b for s in systems]), cost=cost,
-        corridor=corridor, pair_corridors=None, solutions=sols, qp_solves=2)
+    return tube_from_waypoints(pairs, waypoints, config)
 
 
 def test_tube_round_trip_is_bit_faithful(tmp_path):
@@ -269,6 +265,40 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
         doc["basis_b"][1][0] += 1e-6
     with pytest.raises(ValidationError, match="basis_b by 1.000e-06"):
         load_tube(tamper(tmp_path, nudge_rhs))
+
+    # trajectory settings go through the same checks as a scenario's
+    for key, value, match in [
+            ("corridor_mode", "loose", "must be one of"),
+            ("continuity", -1, r"continuity must be in \[0, order\]"),
+            ("corridor_samples", 0, "corridor samples must be at least 1"),
+            ("corridor_samples", -2, "corridor samples must be at least 1"),
+            ("cost_derivative", 9, r"cost derivative must be in \[1, order\]"),
+            ("order", 5.0, "config.order: expected an integer"),
+            ("segments", 9, "config.segments is 9, but the knots span 6")]:
+        def set_config(doc):
+            doc["config"][key] = value
+        with pytest.raises(ValidationError, match=match):
+            load_tube(tamper(tmp_path, set_config))
+
+    def fractional_pairing(doc):
+        doc["pairing"] = [0.7, 1.9]
+    with pytest.raises(ValidationError, match=r"pairing\[0\]: expected an"):
+        load_tube(tamper(tmp_path, fractional_pairing))
+
+    for value, match in [(3, "dimension 3 must be 2 or 3 and match the 2-D"),
+                         ("2", "dimension: expected an integer"),
+                         (2.7, "dimension: expected an integer")]:
+        def set_dimension(doc):
+            doc["dimension"] = value
+        with pytest.raises(ValidationError, match=match):
+            load_tube(tamper(tmp_path, set_dimension))
+
+    # A x = basis_b still holds, but basis_b no longer matches the waypoints
+    def move_waypoint(doc):
+        doc["waypoints"][1][2][0] += 0.5
+    with pytest.raises(ValidationError,
+                       match="basis_b differs .* by 5.000e-01"):
+        load_tube(tamper(tmp_path, move_waypoint))
 
 
 def hand_log():

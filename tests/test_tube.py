@@ -2,49 +2,21 @@ import numpy as np
 import pytest
 
 from tubeplan.geometry import OrderPairSet, Terminal, assign_vertices
-from tubeplan.knots import chord_length_knots, normalize_knots, public_knots
 from tubeplan.pathfinder import ObstacleSet, RrtConfig, equalize_waypoints
-from tubeplan.trajopt import (CorridorSpec, assemble_cost, assemble_equality,
-                              corridor_constraints, solve_qp)
-from tubeplan.tube import (BenchmarkRow, InvalidWeights, OptimalVirtualTube,
-                           TrajectoryConfig, _shared_corridor, build_tube,
-                           check_weights, combination_benchmark, combine_rhs,
-                           cross_section, direct_member_solve,
-                           member_trajectory, verify_member_optimality)
+from tubeplan.tube import (BenchmarkRow, InvalidWeights, TrajectoryConfig,
+                           build_tube, check_weights, combination_benchmark,
+                           combine_rhs, cross_section, direct_member_solve,
+                           member_trajectory, tube_from_waypoints,
+                           verify_member_optimality)
 
 
 def hand_tube(paths, config):
-    """Assemble a tube from explicit waypoint lists, skipping path planning."""
+    """Solve a tube from explicit waypoint lists, skipping path planning."""
     waypoints = np.array([np.asarray(p, dtype=float) for p in paths])
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]),
                          np.arange(len(paths)))
-    knots = normalize_knots(
-        public_knots([chord_length_knots(p) for p in waypoints]))
-    systems = [assemble_equality(p, knots, config.order, config.continuity)
-               for p in waypoints]
-    cost = assemble_cost(knots, config.cost_deriv, config.order,
-                         waypoints.shape[2])
-    corridor = None
-    pair_corridors = None
-    if config.corridor_mode == "strict":
-        corridor = _shared_corridor(waypoints, knots, config)
-    elif config.corridor_mode == "loose":
-        spec = CorridorSpec(np.asarray(config.corridor_width),
-                            config.corridor_samples)
-        pair_corridors = [corridor_constraints(p, knots, spec, config.order)
-                          for p in waypoints]
-    solutions = []
-    for k, system in enumerate(systems):
-        ineq = corridor if pair_corridors is None else pair_corridors[k]
-        solutions.append(solve_qp(cost, system, ineq))
-    return OptimalVirtualTube(
-        pairs=pairs, config=config, knots=knots, chord_total=1.0,
-        waypoints=waypoints, A=systems[0].A, blocks=systems[0].blocks,
-        basis_x=np.array([s.x for s in solutions]),
-        basis_b=np.array([s.b for s in systems]), cost=cost,
-        corridor=corridor, pair_corridors=pair_corridors,
-        solutions=solutions, qp_solves=len(solutions))
+    return tube_from_waypoints(pairs, waypoints, config)
 
 
 @pytest.fixture(scope="module")
@@ -208,17 +180,3 @@ def test_differing_active_rows_detected():
     report = verify_member_optimality(tube, [0.5, 0.5], directions=50, seed=1)
     assert not report.passed
     assert report.coefficient_error > 1e-6
-
-
-def test_loose_mode_reports_unshared_activity():
-    zig = np.array([[0.0, 0.0], [4.0, 3.0], [8.0, 0.0]])
-    paths = equalize_waypoints([zig, zig + np.array([0.0, 1.0])], 5)
-    cfg = TrajectoryConfig(m_target=5, corridor_width=0.3,
-                           corridor_mode="loose")
-    tube = hand_tube(paths, cfg)
-    assert tube.corridor is None
-    assert len(tube.pair_corridors) == 2
-    report = verify_member_optimality(tube, [0.5, 0.5], directions=50, seed=1)
-    assert report.active_basis
-    assert report.findings
-    assert "transfer" in report.findings[0]
