@@ -13,6 +13,15 @@ the slacks.  Shifting them by the unconstrained minimiser leaves a pure
 quadratic form over affine inequalities with no equality rows, which the
 trajectory QP solver takes as it is.
 
+The condensed Hessian is positive definite and depends only on the
+dynamics, the horizon and the weights, so ``simulate`` builds it and its
+Cholesky factor once (``HorizonQp``) for every robot and tick.  Each
+active-set step then solves its KKT system through that factor by the
+range-space method (Nocedal & Wright, Numerical Optimization, 16.2): one
+small QR of the factored working rows instead of complete pivoting on the
+whole saddle-point matrix, which the basis QPs with their singular
+Hessian still need.
+
 Each robot's active-set loop is warm-started from the working set its own
 QP ended with on the previous tick (Ferreau, Bock & Diehl, IJRNC 2008):
 consecutive horizons share most of their binding rows, so a warm QP
@@ -24,13 +33,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import PointOutsideHull, barycentric_weights
 from .trajopt import (AffineInequalities, CostSpec, EqualitySystem,
                       PiecewisePolynomial, RankDeficient, solve_qp)
-from .tube import OptimalVirtualTube, member_trajectory
+from .tube import OptimalVirtualTube, cross_section, member_trajectory
 
 # distance-to-facet threshold separating interior from boundary robots
 _BOUNDARY_TOL = 1e-6
@@ -240,8 +249,68 @@ def boundary_margin(rows, p: np.ndarray) -> float:
     return float((b - A @ p).min())
 
 
+@dataclass(frozen=True)
+class HorizonQp:
+    """What every horizon QP of one simulation shares.
+
+    The condensed Hessian depends only on the dynamics, the horizon and
+    the weights, so one Cholesky factor serves every robot and tick.
+    """
+
+    A: np.ndarray          # (2 d, 2 d) dynamics
+    B: np.ndarray          # (2 d, d)
+    S: np.ndarray          # (N + 1, 2 d, N d) input errors to error states
+    weights: np.ndarray    # (N + 1, 2 d) stage weights, terminal scaled
+    H: np.ndarray          # (nz, nz) Hessian over z = [u~, s]
+    L_inv: np.ndarray      # inverse of the lower Cholesky factor of 2 H
+    G_bounds: np.ndarray   # input-limit rows, then slack-sign rows
+    input_limit: float
+
+    @property
+    def steps(self) -> int:
+        return self.S.shape[0] - 1
+
+
+def horizon_qp(config: MpcConfig, d: int, N: int) -> HorizonQp:
+    """Build the fixed part of the horizon QP for d dimensions and N steps.
+
+    Raises RankDeficient when the Hessian is not positive definite, as
+    when an input moves only states that carry no weight.
+    """
+    dyn = DiscreteDynamics(config.timestep, d)
+    A, B = dyn.A, dyn.B
+    n_u = N * d
+    nz = n_u + N + 1
+    # x~_{k+1} = A x~_k + B u~_k stacks into x~ = S u~ (+ F, per call)
+    S = np.zeros((N + 1, 2 * d, n_u))
+    for k in range(N):
+        S[k + 1] = A @ S[k]
+        S[k + 1, :, k * d:(k + 1) * d] += B
+    stage = np.concatenate([np.full(d, config.position_weight),
+                            np.full(d, config.velocity_weight)])
+    weights = np.tile(stage, (N + 1, 1))
+    weights[N] *= config.terminal_weight_scale
+    S_flat = S.reshape(-1, n_u)
+    H = np.zeros((nz, nz))
+    H[:n_u, :n_u] = (S_flat.T @ (weights.reshape(-1, 1) * S_flat)
+                     + config.input_weight * np.eye(n_u))
+    H[n_u:, n_u:] = config.slack_weight * np.eye(N + 1)
+    try:
+        L = np.linalg.cholesky(2.0 * H)
+    except np.linalg.LinAlgError:
+        raise RankDeficient("horizon QP Hessian is not positive definite; "
+                            "check the controller weights") from None
+    L_inv = solve_triangular(L, np.eye(nz), lower=True)
+    # |u| <= input_limit with u = u_d - u~ (one row per sign), then s >= 0
+    G_bounds = np.zeros((2 * n_u + N + 1, nz))
+    G_bounds[:2 * n_u, :n_u] = np.kron(np.eye(n_u), [[1.0], [-1.0]])
+    G_bounds[2 * n_u:, n_u:] = -np.eye(N + 1)
+    return HorizonQp(A, B, S, weights, H, L_inv, G_bounds,
+                     config.input_limit)
+
+
 def mpc_step(state: np.ndarray, window: ReferenceWindow,
-             halfspaces: Halfspaces | None, config: MpcConfig,
+             halfspaces: Halfspaces | None, horizon: HorizonQp,
              position_rows=None, warm=None):
     """One condensed horizon QP; returns the first input, the planned
     absolute states, the largest slack, and the warm start for the next
@@ -249,7 +318,8 @@ def mpc_step(state: np.ndarray, window: ReferenceWindow,
 
     The variables are z = [u~, s]: the input errors u~_k = u_d,k - u_k
     for steps 0..N-1 and one slack per step 0..N.  The error states
-    x~_k = x_d,k - x_k follow from the dynamics as x~ = S u~ + F.
+    x~_k = x_d,k - x_k follow from the dynamics as x~ = S u~ + F, where
+    S comes with the horizon and F is this call's free response.
     position_rows, when given, is a list over steps 1..N of (A, b) rows on
     the absolute position (tube cross-section facets or boundary boxes).
     Avoidance rows share one nonnegative slack per step.
@@ -257,53 +327,32 @@ def mpc_step(state: np.ndarray, window: ReferenceWindow,
     previous call; its working set seeds the QP when the row count of
     this call's inequalities is the same, else the QP starts cold.
     """
-    d = window.inputs.shape[1]
-    N = window.states.shape[0] - 1
-    dyn = DiscreteDynamics(config.timestep, d)
-    A, B = dyn.A, dyn.B
-    nx, nu = 2 * d, d
-    n_u = N * nu
+    A, B, S = horizon.A, horizon.B, horizon.S
+    N, d = horizon.steps, B.shape[1]
+    n_u = N * d
     nz = n_u + N + 1
 
     # x~_{k+1} = A x~_k + B u~_k + w_k, where w_k is the amount by which
-    # the reference itself misses the dynamics; S and F share columns
+    # the reference itself misses the dynamics
     ref, ff = window.states, window.inputs
     drift = ref[1:] - ref[:-1] @ A.T - ff[:-1] @ B.T
-    SF = np.zeros((N + 1, nx, n_u + 1))
-    SF[0, :, -1] = ref[0] - np.asarray(state, dtype=float)
+    F = np.empty((N + 1, 2 * d))
+    F[0] = ref[0] - np.asarray(state, dtype=float)
     for k in range(N):
-        SF[k + 1] = A @ SF[k]
-        SF[k + 1, :, k * nu:(k + 1) * nu] += B
-        SF[k + 1, :, -1] += drift[k]
-    S, F = SF[..., :-1], SF[..., -1]
+        F[k + 1] = A @ F[k] + drift[k]
 
-    stage = np.concatenate([np.full(d, config.position_weight),
-                            np.full(d, config.velocity_weight)])
-    weights = np.tile(stage, (N + 1, 1))
-    weights[N] *= config.terminal_weight_scale
-    S_flat = S.reshape(-1, n_u)
-    QS = weights.reshape(-1, 1) * S_flat
-    H = np.zeros((nz, nz))
-    H[:n_u, :n_u] = S_flat.T @ QS + config.input_weight * np.eye(n_u)
-    H[n_u:, n_u:] = config.slack_weight * np.eye(N + 1)
-    # the unconstrained minimiser of z^T H z + 2 (S^T Q F)^T u~; shifting
-    # to y = z - z_star leaves the pure quadratic form y^T H y
-    try:
-        chol = cho_factor(H[:n_u, :n_u])
-    except np.linalg.LinAlgError:
-        raise RankDeficient("horizon QP Hessian is not positive definite; "
-                            "check the controller weights") from None
+    # the unconstrained minimiser of z^T H z + 2 (S^T Q F)^T u~, through
+    # the input block of the factor (the slack block is diagonal);
+    # shifting to y = z - z_star leaves the pure quadratic form y^T H y
+    L_u = horizon.L_inv[:n_u, :n_u]
+    grad = S.reshape(-1, n_u).T @ (horizon.weights * F).ravel()
     z_star = np.zeros(nz)
-    z_star[:n_u] = -cho_solve(chol, QS.T @ F.ravel())
+    z_star[:n_u] = -2.0 * (L_u.T @ (L_u @ grad))
 
-    # |u| <= input_limit with u = u_d - u~, then slack nonnegative
     u_ref = ff[:N].ravel()
-    G_in = np.zeros((2 * n_u, nz))
-    G_in[:, :n_u] = np.kron(np.eye(n_u), [[1.0], [-1.0]])
-    h_in = (config.input_limit + np.column_stack([u_ref, -u_ref])).ravel()
-    G_s = np.zeros((N + 1, nz))
-    G_s[:, n_u:] = -np.eye(N + 1)
-    G_parts, h_parts = [G_in, G_s], [h_in, np.zeros(N + 1)]
+    h_in = (horizon.input_limit
+            + np.column_stack([u_ref, -u_ref])).ravel()
+    G_parts, h_parts = [horizon.G_bounds], [h_in, np.zeros(N + 1)]
     # rows on p~_k = S_pos u~ + p_d,k - p_ff for steps 1..N, where p_ff
     # is the absolute position reached by flying the feedforward alone
     S_pos = S[1:, :d]
@@ -329,12 +378,13 @@ def mpc_step(state: np.ndarray, window: ReferenceWindow,
     h = np.concatenate(h_parts)
 
     working = warm[1] if warm is not None and warm[0] == G.shape[0] else None
-    sol = solve_qp(CostSpec(H, 0),
+    sol = solve_qp(CostSpec(horizon.H, 0),
                    EqualitySystem(np.zeros((0, nz)), np.zeros(0)),
-                   AffineInequalities(G, h - G @ z_star), working=working)
+                   AffineInequalities(G, h - G @ z_star), working=working,
+                   factor=horizon.L_inv)
     z = sol.x + z_star
     u_err = z[:n_u]
-    u0 = ff[0] - u_err[:nu]
+    u0 = ff[0] - u_err[:d]
     plan = ref - (S @ u_err + F)
     return u0, plan, float(z[n_u:].max()), (G.shape[0], sol.working)
 
@@ -394,7 +444,7 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     Ts = config.timestep
     N = config.horizon
     ticks = int(np.floor(time_limit / Ts + 1e-9))
-    dyn = DiscreteDynamics(Ts, d)
+    horizon = horizon_qp(config, d, N)
 
     states = np.zeros((ticks + 1, M, 2 * d))
     states[0, :, :d] = starts
@@ -407,13 +457,14 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     preds = np.array([starts[i] + steps * states[0, i, d:] for i in range(M)])
     prev_normals = [[None] * M for _ in range(M)]
     warm = [None] * M
+    hulls = {}
 
     used = 0
     for tick in range(ticks):
         s_now = tick * Ts
         windows = [reference_window(trajs[i], scaling, s_now, N, Ts)
                    for i in range(M)]
-        section_rows = _section_rows(tube, windows[0].params)
+        section_rows = _section_rows(tube, windows[0].params, hulls)
 
         def step_robot(i):
             window = windows[i]
@@ -425,7 +476,7 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
                     [prev_normals[i][j] for j in others])
             pos_rows = _position_rows(section_rows, window, config)
             u0, plan, slack, new_warm = mpc_step(
-                states[tick, i], window, hs, config, pos_rows, warm[i])
+                states[tick, i], window, hs, horizon, pos_rows, warm[i])
             new_normals = None
             if hs is not None:
                 new_normals = {j: hs.normals[a, -1]
@@ -447,7 +498,8 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
                 for j, normal in new_normals.items():
                     prev_normals[i][j] = normal
         for i in range(M):
-            states[tick + 1, i] = dyn.A @ states[tick, i] + dyn.B @ inputs[tick, i]
+            states[tick + 1, i] = (horizon.A @ states[tick, i]
+                                   + horizon.B @ inputs[tick, i])
         used = tick + 1
         now = (tick + 1) * Ts
         dists = np.linalg.norm(states[tick + 1, :, :d] - goals, axis=1)
@@ -462,13 +514,19 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
                   timestep=Ts, max_slack=max_slack[:used])
 
 
-def _section_rows(tube: OptimalVirtualTube, params: np.ndarray):
-    """Cross-section facet rows per horizon step (None when flat)."""
-    from .tube import cross_section
+def _section_rows(tube: OptimalVirtualTube, params: np.ndarray,
+                  hulls: dict):
+    """Cross-section facet rows per horizon step (None when flat).
+
+    hulls caches the rows by the exact tube parameter for one simulation:
+    every robot shares the time scaling, so ticks revisit the same few
+    parameters.
+    """
     rows = []
-    for k in range(1, params.size):
-        section = cross_section(tube, float(params[k]))
-        rows.append(hull_inequalities(section.points))
+    for t in params[1:].tolist():
+        if t not in hulls:
+            hulls[t] = hull_inequalities(cross_section(tube, t).points)
+        rows.append(hulls[t])
     return rows
 
 

@@ -11,6 +11,7 @@ equalities A x = b and optional corridor inequalities G x <= h.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .knots import KnotVector
 
@@ -134,43 +135,52 @@ def assemble_equality(waypoints, knots: KnotVector, order: int,
         raise ValueError(f"{m + 1} waypoints need {m + 1} knots")
     if continuity > order:
         raise ValueError("continuity order cannot exceed polynomial order")
-    if bounds is None:
-        bounds = BoundarySpec.rest(continuity, dim)
     t = knots.u
 
-    a_rows, b_rows = [], []
+    a_rows = []
     n_cont = (m - 1) * (continuity + 1) * dim
     for i in range(1, m):
         for p in range(continuity + 1):
             row = basis_row(t[i], p, order)
-            block = (_place(row, i - 1, order, dim, m)
-                     - _place(row, i, order, dim, m))
-            a_rows.append(block)
-            b_rows.append(np.zeros(dim))
+            a_rows.append(_place(row, i - 1, order, dim, m)
+                          - _place(row, i, order, dim, m))
     n_way = (m + 1) * dim
     for i in range(m):
         a_rows.append(_place(basis_row(t[i], 0, order), i, order, dim, m))
-        b_rows.append(pts[i])
     a_rows.append(_place(basis_row(t[m], 0, order), m - 1, order, dim, m))
-    b_rows.append(pts[m])
     n_term = 2 * continuity * dim
     for p in range(continuity, 0, -1):
         a_rows.append(_place(basis_row(t[0], p, order), 0, order, dim, m))
-        b_rows.append(np.asarray(bounds.start_derivs[p - 1], dtype=float))
     for p in range(continuity, 0, -1):
         a_rows.append(_place(basis_row(t[m], p, order), m - 1, order, dim, m))
-        b_rows.append(np.asarray(bounds.goal_derivs[p - 1], dtype=float))
 
     A = np.vstack(a_rows)
-    b = np.concatenate(b_rows)
-    if np.linalg.matrix_rank(A) < A.shape[0]:
+    rank = np.linalg.matrix_rank(A)
+    if rank < A.shape[0]:
         raise RankDeficient(
-            f"equality rows are dependent ({A.shape[0]} rows, "
-            f"rank {np.linalg.matrix_rank(A)})")
+            f"equality rows are dependent ({A.shape[0]} rows, rank {rank})")
     blocks = {"continuity": (0, n_cont),
               "waypoints": (n_cont, n_cont + n_way),
               "terminal": (n_cont + n_way, n_cont + n_way + n_term)}
-    return EqualitySystem(A, b, blocks)
+    return EqualitySystem(A, equality_rhs(pts, continuity, bounds), blocks)
+
+
+def equality_rhs(waypoints, continuity: int,
+                 bounds: BoundarySpec | None = None) -> np.ndarray:
+    """Right-hand side of ``assemble_equality``'s rows for one path.
+
+    The matrix depends only on the knots and the polynomial settings, so
+    paths that share them share it and differ only here.
+    """
+    pts = np.asarray(waypoints, dtype=float)
+    m, dim = pts.shape[0] - 1, pts.shape[1]
+    if bounds is None:
+        bounds = BoundarySpec.rest(continuity, dim)
+    parts = [np.zeros((m - 1) * (continuity + 1) * dim), pts.ravel()]
+    for derivs in (bounds.start_derivs, bounds.goal_derivs):
+        parts += [np.asarray(derivs[p - 1], dtype=float)
+                  for p in range(continuity, 0, -1)]
+    return np.concatenate(parts)
 
 
 def assemble_cost(knots: KnotVector, deriv_order: int, order: int,
@@ -314,9 +324,34 @@ _FEAS_TOL = 1e-8
 _DUAL_TOL = 1e-10
 
 
-def _kkt_solve(H: np.ndarray, A: np.ndarray, b: np.ndarray):
+def _kkt_solve(H: np.ndarray, A: np.ndarray, b: np.ndarray, factor=None):
+    """Minimiser x of x^T H x subject to A x = b, and the multipliers.
+
+    Without a factor this solves the saddle-point system by complete
+    pivoting, which tolerates a singular H.  factor, when given, is L^-1
+    for the lower Cholesky factor L L^T = 2 H of a positive definite H;
+    then the range-space method applies (Nocedal & Wright, Numerical
+    Optimization, 16.2): with V = L^-1 A^T = Q R, the multipliers are
+    -R^-1 R^-T b and x = L^-T Q R^-T b.  R^T R = A (2 H)^-1 A^T is the
+    Schur complement, so a diagonal entry of R below 1e-6 of the largest
+    is a relative Schur pivot below 1e-12, the rank test of
+    solve_full_pivot.
+    """
     n = H.shape[0]
     r = A.shape[0]
+    if factor is not None:
+        if r == 0:
+            return np.zeros(n), np.zeros(0)
+        if r > n:
+            raise RankDeficient(f"{r} rows on {n} variables")
+        Q, R = np.linalg.qr(factor @ A.T)
+        diag = np.abs(np.diag(R))
+        if diag.min() <= 1e-6 * diag.max():
+            k = int(diag.argmin())
+            raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {k} of {r}")
+        w, _ = dtrtrs(R, b, trans=1)
+        lam, _ = dtrtrs(R, w)
+        return factor.T @ (Q @ w), -lam
     K = np.zeros((n + r, n + r))
     K[:n, :n] = 2.0 * H
     K[:n, n:] = A.T
@@ -329,7 +364,7 @@ def _kkt_solve(H: np.ndarray, A: np.ndarray, b: np.ndarray):
 def solve_qp(cost: CostSpec, eq: EqualitySystem,
              ineq: AffineInequalities | None = None,
              max_iter: int | None = None,
-             working: list | None = None) -> QpSolution:
+             working: list | None = None, factor=None) -> QpSolution:
     """Minimise x^T H x subject to A x = b and optionally G x <= h.
 
     Equality-only problems solve one saddle-point KKT system.  Inequalities
@@ -343,6 +378,10 @@ def solve_qp(cost: CostSpec, eq: EqualitySystem,
     KKT system of a warm-started loop turns out singular, the warm set is
     dropped and the loop starts again from the empty set, so a stale warm
     set is never reported as Infeasible.
+
+    factor, for a positive definite Hessian only, is the inverse lower
+    Cholesky factor of 2 H that ``_kkt_solve`` takes; every KKT system of
+    the loop is then solved through it instead of by complete pivoting.
     """
     H, A, b = cost.H, eq.A, eq.b
     n = H.shape[0]
@@ -360,7 +399,7 @@ def solve_qp(cost: CostSpec, eq: EqualitySystem,
             A_all, b_all = A, b
         iterations += 1
         try:
-            x, lam_all = _kkt_solve(H, A_all, b_all)
+            x, lam_all = _kkt_solve(H, A_all, b_all, factor)
         except RankDeficient:
             if warm:
                 warm, working = False, []

@@ -23,7 +23,7 @@ from .pathfinder import (ObstacleSet, RrtConfig, equalize_waypoints,
 from .trajopt import (AffineInequalities, CorridorSpec, CostSpec,
                       EqualitySystem, PiecewisePolynomial, QpSolution,
                       assemble_cost, assemble_equality, corridor_constraints,
-                      solve_qp)
+                      equality_rhs, solve_qp)
 
 CORRIDOR_MODES = ("strict", "none")
 
@@ -123,8 +123,10 @@ def tube_structure(waypoints: np.ndarray, knots: KnotVector,
     mean chord, so each basis problem stays feasible while all problems
     share identical inequality rows.
     """
-    systems = [assemble_equality(p, knots, config.order, config.continuity)
-               for p in waypoints]
+    shared = assemble_equality(waypoints[0], knots, config.order,
+                               config.continuity)
+    systems = [EqualitySystem(shared.A, equality_rhs(p, config.continuity),
+                              shared.blocks) for p in waypoints]
     cost = assemble_cost(knots, config.cost_deriv, config.order,
                          waypoints.shape[2])
     if config.corridor_mode == "none":

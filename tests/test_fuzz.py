@@ -64,6 +64,13 @@ SCENARIO_FIELDS = [
     ("controller", "horizon"), ("controller", "timestep"),
     ("controller", "avoidance", "ellipse_axes"), ("time_limit",),
     ("goal_radius",)]
+SCENARIO_INTEGERS = [
+    ("schema_version",), ("dimension",), ("rng_seed",), ("robots", "count"),
+    ("planner", "segments"), ("planner", "rrt", "max_iterations"),
+    ("planner", "polynomial", "order"),
+    ("planner", "polynomial", "cost_derivative"),
+    ("planner", "polynomial", "continuity"),
+    ("planner", "corridor", "samples_per_segment"), ("controller", "horizon")]
 
 TUBE_FIELDS = [
     ("schema_version",), ("kind",), ("dimension",), ("config",),
@@ -75,6 +82,17 @@ TUBE_FIELDS = [
     ("pairing",), ("pairing", 0), ("waypoints",), ("waypoints", 0, 1),
     ("waypoints", 1, 2, 0), ("basis_x",), ("basis_x", 0, 3), ("basis_b", 1),
     ("qp_solves",)]
+TUBE_INTEGERS = [
+    ("schema_version",), ("dimension",), ("config", "order"),
+    ("config", "cost_derivative"), ("config", "continuity"),
+    ("config", "segments"), ("config", "corridor_samples"), ("pairing", 0),
+    ("qp_solves",)]
+
+# the edges of integer ranges: the signs, the neighbours of the polynomial
+# order (continuity and cost derivative may not pass it) and numbers that
+# are not integers
+ORDER = SCENARIO["planner"]["polynomial"]["order"]
+BOUNDARIES = [-1, 0, 1, ORDER - 1, ORDER + 1, 0.5, 3.0]
 
 DELETE = object()
 
@@ -169,6 +187,14 @@ def test_mutated_scenarios_exit_cleanly(workdir, edits):
          "--out", str(workdir / "mutated_plan.json")])
 
 
+def check_tube(workdir, doc):
+    tube = workdir / "mutated_tube.json"
+    tube.write_text(json.dumps(doc), encoding="utf-8")
+    run(["members", "--tube", str(tube), "--count", "1", "--samples", "3",
+         "--out", str(workdir / "mutated_members.csv")])
+    run(["verify", "--tube", str(tube), "--count", "1", "--samples", "5"])
+
+
 @FUZZ
 @given(edits=st.lists(st.tuples(st.sampled_from(TUBE_FIELDS), values),
                       min_size=1, max_size=2))
@@ -176,11 +202,31 @@ def test_mutated_tubes_exit_cleanly(workdir, edits):
     doc = json.loads((workdir / "tube.json").read_text(encoding="utf-8"))
     for path, value in edits:
         mutate(doc, path, value)
-    tube = workdir / "mutated_tube.json"
-    tube.write_text(json.dumps(doc), encoding="utf-8")
-    run(["members", "--tube", str(tube), "--count", "1", "--samples", "3",
-         "--out", str(workdir / "mutated_members.csv")])
-    run(["verify", "--tube", str(tube), "--count", "1", "--samples", "5"])
+    check_tube(workdir, doc)
+
+
+# one example per integer field and boundary value: a strategy over a
+# finite set is enumerated without repeats, so every range check meets
+# every boundary, which random edits reach only by chance
+@FUZZ
+@given(case=st.sampled_from(
+    [("scenario", path, value)
+     for path in SCENARIO_INTEGERS for value in BOUNDARIES]
+    + [("tube", path, value)
+       for path in TUBE_INTEGERS for value in BOUNDARIES]))
+def test_integer_boundaries_exit_cleanly(workdir, case):
+    kind, path, value = case
+    if kind == "tube":
+        doc = json.loads((workdir / "tube.json").read_text(encoding="utf-8"))
+        mutate(doc, path, value)
+        check_tube(workdir, doc)
+        return
+    doc = copy.deepcopy(SCENARIO)
+    mutate(doc, path, value)
+    scenario = workdir / "mutated_scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    run(["plan", "--scenario", str(scenario),
+         "--out", str(workdir / "mutated_plan.json")])
 
 
 @st.composite

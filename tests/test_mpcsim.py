@@ -7,8 +7,9 @@ from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters,
                              DiscreteDynamics, MpcConfig, SimLog,
                              StartOutsideTerminal, TimeScaling,
                              avoidance_halfspaces, boundary_margin,
-                             compute_metrics, hull_inequalities, mpc_step,
-                             reference_window, simulate, _position_rows)
+                             compute_metrics, horizon_qp, hull_inequalities,
+                             mpc_step, reference_window, simulate,
+                             _position_rows)
 from tubeplan import trajopt
 from tubeplan.trajopt import PiecewisePolynomial, RankDeficient
 from tubeplan.tube import TrajectoryConfig, tube_from_waypoints
@@ -149,11 +150,17 @@ def _linear_window(horizon=10, timestep=0.1):
     return reference_window(traj, scaling, 0.0, horizon, timestep)
 
 
+def _horizon(config, window):
+    return horizon_qp(config, window.inputs.shape[1],
+                      window.states.shape[0] - 1)
+
+
 def test_mpc_step_structure():
     window = _linear_window()
     config = MpcConfig()
     state = window.states[0].copy()
-    u0, plan, slack, _ = mpc_step(state, window, None, config)
+    u0, plan, slack, _ = mpc_step(state, window, None,
+                                  _horizon(config, window))
     assert plan.shape == window.states.shape
     assert np.allclose(plan[0], state, atol=1e-9)
     assert slack == pytest.approx(0.0, abs=1e-9)
@@ -185,7 +192,8 @@ def test_mpc_step_matches_state_space_kkt():
                               AvoidanceModel(axes=np.array([0.5, 0.5])))
     boxes = _position_rows([None] * N, window,
                            MpcConfig(boundary_tolerance=5.0))
-    u0, plan, slack, _ = mpc_step(state, window, hs, config, boxes)
+    u0, plan, slack, _ = mpc_step(state, window, hs,
+                                  _horizon(config, window), boxes)
 
     # independent oracle: the uncondensed QP over z = [x~_0..x~_N,
     # u~_0..u~_{N-1}] with the error dynamics as equalities, one KKT solve
@@ -225,6 +233,7 @@ def test_mpc_step_holds_active_rows(monkeypatch):
     hs = avoidance_halfspaces(window.states[:, :d], neighbor,
                               AvoidanceModel(axes=np.array([0.5, 0.5])))
     boxes = _position_rows([None] * N, window, config)
+    horizon = _horizon(config, window)
     solves = []
     kkt_solve = trajopt._kkt_solve
 
@@ -233,17 +242,17 @@ def test_mpc_step_holds_active_rows(monkeypatch):
         return kkt_solve(*args)
 
     monkeypatch.setattr(trajopt, "_kkt_solve", counted)
-    u0, plan, slack, warm = mpc_step(state, window, hs, config, boxes)
+    u0, plan, slack, warm = mpc_step(state, window, hs, horizon, boxes)
     cold = len(solves)
     assert cold > 1
     # warm-started from its own final working set, one KKT solve suffices
-    u0_w, plan_w, _, warm_w = mpc_step(state, window, hs, config, boxes,
+    u0_w, plan_w, _, warm_w = mpc_step(state, window, hs, horizon, boxes,
                                        warm)
     assert len(solves) == cold + 1 and warm_w == warm
     assert np.array_equal(u0_w, u0) and np.array_equal(plan_w, plan)
     # a stale set pinning both bounds of one input fails its first solve
     # and is dropped for a cold start
-    u0_s, plan_s, _, _ = mpc_step(state, window, hs, config, boxes,
+    u0_s, plan_s, _, _ = mpc_step(state, window, hs, horizon, boxes,
                                   (warm[0], [0, 1]))
     assert len(solves) == 2 * cold + 2
     assert np.abs(u0_s - u0).max() <= 1e-12
@@ -267,19 +276,46 @@ def test_mpc_step_respects_input_limit():
     window = reference_window(traj, scaling, 10.0, 10, 0.1)
     config = MpcConfig(input_limit=0.5)
     u0, plan, slack, _ = mpc_step(np.array([0.0, 0.0]), window, None,
-                                  config)
+                                  _horizon(config, window))
     assert u0[0] == pytest.approx(0.5, abs=1e-8)
     assert slack == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mpc_step_rejects_degenerate_weights():
-    traj = PiecewisePolynomial(1, 1, UNIT, np.array([0.0, 2.0]))
-    scaling = TimeScaling(total_chord=2.0, speed=1.0)
-    window = reference_window(traj, scaling, 0.0, 5, 0.1)
     # the last input moves only the terminal velocity, which costs nothing
-    config = MpcConfig(velocity_weight=0.0, input_weight=0.0)
-    with pytest.raises(RankDeficient, match="controller weights"):
-        mpc_step(np.array([0.0, 0.0]), window, None, config)
+    config = MpcConfig(horizon=5, velocity_weight=0.0, input_weight=0.0)
+    message = ("horizon QP Hessian is not positive definite; "
+               "check the controller weights")
+    with pytest.raises(RankDeficient) as built:
+        horizon_qp(config, 1, 5)
+    assert str(built.value) == message
+    with pytest.raises(RankDeficient) as simulated:
+        simulate(straight_pair_tube(), [[0.0, 0.25]], config,
+                 AvoidanceModel(axes=np.array([0.3, 0.3])), time_limit=1.0)
+    assert str(simulated.value) == message
+
+
+def test_simulate_factors_the_horizon_hessian_once(monkeypatch):
+    # one Cholesky factor per simulation, however many robots and ticks;
+    # no horizon QP falls back to complete pivoting
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factored.append(1)
+        return cholesky(a)
+
+    def forbidden(*args):
+        raise AssertionError("complete pivoting on a horizon QP")
+
+    tube = straight_pair_tube()
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(trajopt, "solve_full_pivot", forbidden)
+    log = simulate(tube, [[0.0, 0.2], [0.0, 0.8]],
+                   MpcConfig(), AvoidanceModel(axes=np.array([0.3, 0.3])),
+                   time_limit=2.0)
+    assert log.inputs.shape[:2] == (20, 2)
+    assert len(factored) == 1
 
 
 def test_position_rows_switch_to_box_on_boundary():

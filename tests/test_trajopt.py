@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tubeplan.knots import KnotVector
-from tubeplan.trajopt import (AffineInequalities, BoundarySpec, CorridorSpec,
+from tubeplan.trajopt import (_kkt_solve, AffineInequalities, BoundarySpec, CorridorSpec,
                               CostSpec, EqualitySystem, Infeasible,
                               OutOfDomain, PiecewisePolynomial, RankDeficient,
                               assemble_cost, assemble_equality, basis_row,
@@ -121,6 +121,48 @@ def test_solve_full_pivot_rejects_late_rank_loss():
     # complete pivoting finds five good pivots before the rank runs out
     with pytest.raises(RankDeficient, match="at step 5 of 6"):
         solve_full_pivot(M, rng.standard_normal(6))
+
+
+def _spd_factor(rng, n):
+    M = rng.standard_normal((n, n))
+    H = M @ M.T + 0.5 * np.eye(n)
+    return H, np.linalg.inv(np.linalg.cholesky(2.0 * H))
+
+
+def test_range_space_kkt_matches_reference():
+    rng = np.random.default_rng(5)
+    for n, r in ((3, 1), (8, 5), (20, 7), (31, 31)):
+        H, factor = _spd_factor(rng, n)
+        C = rng.standard_normal((r, n))
+        b = rng.standard_normal(r)
+        K = np.block([[2.0 * H, C.T], [C, np.zeros((r, r))]])
+        ref = np.linalg.solve(K, np.concatenate([np.zeros(n), b]))
+        x, lam = _kkt_solve(H, C, b, factor)
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(x - ref[:n]).max() <= 1e-9 * scale
+        assert np.abs(lam - ref[n:]).max() <= 1e-9 * scale
+
+
+def test_range_space_kkt_rejects_dependent_rows():
+    rng = np.random.default_rng(6)
+    H, factor = _spd_factor(rng, 6)
+    row = rng.standard_normal(6)
+    for C in (np.array([row, -row]), np.array([row, row]),
+              rng.standard_normal((7, 6))):
+        with pytest.raises(RankDeficient):
+            _kkt_solve(H, C, np.ones(C.shape[0]), factor)
+    # four good rows before the last one, a combination of them, loses rank
+    C = rng.standard_normal((5, 6))
+    C[4] = C[:4].T @ np.array([0.5, -1.25, 2.0, 0.75])
+    with pytest.raises(RankDeficient, match="at row 4 of 5"):
+        _kkt_solve(H, C, rng.standard_normal(5), factor)
+
+
+def test_range_space_kkt_empty_working_set():
+    rng = np.random.default_rng(7)
+    H, factor = _spd_factor(rng, 4)
+    x, lam = _kkt_solve(H, np.zeros((0, 4)), np.zeros(0), factor)
+    assert np.array_equal(x, np.zeros(4)) and lam.size == 0
 
 
 def test_qp_minimum_norm_on_a_line():
