@@ -1,10 +1,12 @@
 """Sampling-based path planning for bundles of homotopic waypoint paths.
 
-One RRT* query per start/goal vertex pair.  The first pair samples the whole
-workspace; later pairs sample inside an envelope around the first path so
-all paths thread the same passage.  A deterministic shortcut pass trims the
-raw trees down to a few corners, and equalization resamples every path to a
-common waypoint count by arc length.
+One RRT* query per start/goal vertex pair whose start does not see its goal;
+a pair that does gets the straight segment, which is what the shortcut pass
+would make of any tree path, so it can never fail with NoPathFound.  The
+first pair samples the whole workspace; later pairs sample inside an
+envelope around the first path so all paths thread the same passage.  A
+deterministic shortcut pass trims the raw trees down to a few corners, and
+equalization resamples every path to a common waypoint count by arc length.
 """
 
 from dataclasses import dataclass, field, replace
@@ -138,10 +140,13 @@ def find_path(start, goal, obstacles: ObstacleSet, config: RrtConfig,
               sample_region=None) -> np.ndarray:
     """Shortest collision-free polyline found by RRT* with rewiring.
 
-    Deterministic for a fixed seed; running more iterations can only keep or
-    shorten the returned path because samples are drawn as a fixed stream.
-    Optionally restricts samples to a region (goal-biased draws still hit the
-    exact goal).
+    A goal that the start sees returns ``[start, goal]`` without a tree:
+    ``simplify_path`` keeps the start and first tries the last vertex, so it
+    would make exactly that of any tree path, and a visible goal never
+    raises NoPathFound.  Deterministic for a fixed seed; running more
+    iterations can only keep or shorten the returned path because samples
+    are drawn as a fixed stream.  Optionally restricts samples to a region
+    (goal-biased draws still hit the exact goal).
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -151,7 +156,13 @@ def find_path(start, goal, obstacles: ObstacleSet, config: RrtConfig,
         raise InvalidEndpoints("start lies inside an inflated obstacle")
     if not obstacles.point_free(goal):
         raise InvalidEndpoints("goal lies inside an inflated obstacle")
+    if obstacles.segment_free(start, goal):
+        return np.array([start, goal])
+    return _rrt_star(start, goal, obstacles, config, sample_region)
 
+
+def _rrt_star(start, goal, obstacles, config, sample_region):
+    """The RRT* tree of ``find_path``, on checked float endpoints."""
     rng = np.random.default_rng(config.rng_seed)
     lo, hi = _sample_bounds(start, goal, obstacles, sample_region, config)
     dim = start.size

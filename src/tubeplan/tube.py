@@ -137,7 +137,10 @@ def tube_structure(waypoints: np.ndarray, knots: KnotVector,
     widths = np.empty(m)
     for seg in range(m):
         chord = mean[seg + 1] - mean[seg]
-        tangent = chord / np.linalg.norm(chord)
+        norm = np.linalg.norm(chord)
+        if norm < 1e-12:
+            raise ValueError(f"segment {seg} has zero chord")
+        tangent = chord / norm
         P = np.eye(dim) - np.outer(tangent, tangent)
         offset = 0.0
         for e in (seg, seg + 1):
