@@ -18,9 +18,8 @@ dynamics, the horizon and the weights, so ``simulate`` builds it and its
 Cholesky factor once (``HorizonQp``) for every robot and tick.  Each
 active-set step then solves its KKT system through that factor by the
 range-space method (Nocedal & Wright, Numerical Optimization, 16.2): one
-small QR of the factored working rows instead of complete pivoting on the
-whole saddle-point matrix, which the basis QPs with their singular
-Hessian still need.
+small QR of the factored working rows.  The basis QPs, whose Hessian is
+singular, use the null-space method of the same section instead.
 
 Each robot's active-set loop is warm-started from the working set its own
 QP ended with on the previous tick (Ferreau, Bock & Diehl, IJRNC 2008):

@@ -24,7 +24,11 @@ from .mpcsim import AvoidanceModel, Metrics, MpcConfig, SimLog
 from .pathfinder import ObstacleSet, RrtConfig
 from .tube import OptimalVirtualTube, TrajectoryConfig, tube_structure
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # scenario documents
+# tube documents: version 2 stores each segment's coefficients in local
+# time (see trajopt); version 1 tubes, in global normalized time, are
+# rejected, not converted
+TUBE_SCHEMA_VERSION = 2
 # largest |A basis_x - basis_b| entry a loaded tube may carry
 _BASIS_TOL = 1e-8
 
@@ -45,8 +49,8 @@ class IoError(OSError):
     """Wraps filesystem errors from reads and writes."""
 
 
-def _read_document(path) -> dict:
-    """A JSON object of the supported schema version, read from path."""
+def _read_document(path, expected: int) -> dict:
+    """A JSON object of schema version expected, read from path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -61,9 +65,9 @@ def _read_document(path) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError("top level must be an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != expected:
         raise VersionError(f"schema_version {version!r} unsupported "
-                           f"(expected {SCHEMA_VERSION})")
+                           f"(expected {expected})")
     return doc
 
 
@@ -162,7 +166,7 @@ def _hulls_intersect(U: np.ndarray, W: np.ndarray) -> bool:
 
 def load_scenario(path) -> Scenario:
     """Parse, validate, and materialize a scenario file."""
-    doc = _read_document(path)
+    doc = _read_document(path, SCHEMA_VERSION)
     dim = _integer(doc.get("dimension", 2), "dimension")
     if dim not in (2, 3):
         raise ValidationError("dimension must be 2 or 3")
@@ -343,7 +347,7 @@ def save_tube(tube: OptimalVirtualTube, path) -> None:
     """Serialize a tube to JSON with bit-faithful coefficients."""
     cfg = tube.config
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": TUBE_SCHEMA_VERSION,
         "kind": "virtual-tube",
         "dimension": tube.dim,
         "config": {key: getattr(cfg, field)
@@ -368,7 +372,7 @@ def load_tube(path) -> OptimalVirtualTube:
     The stored basis must satisfy A x = basis_b, and basis_b must match the
     right-hand sides rebuilt from the waypoints, both within 1e-8.
     """
-    doc = _read_document(path)
+    doc = _read_document(path, TUBE_SCHEMA_VERSION)
     if doc.get("kind") != "virtual-tube":
         raise ValidationError("kind must be 'virtual-tube'")
     bad = _non_finite_path(doc)

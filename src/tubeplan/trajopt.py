@@ -1,16 +1,23 @@
 """Minimum-energy piecewise-polynomial trajectories via equality/inequality QP.
 
 A trajectory with m segments in d dimensions stacks its coefficients into
-one vector x of length (order + 1) * m * d, segment-major.  Position at time
-t inside segment j is a monomial row in global normalized time applied to
-that segment's block.  The planning problem minimises the integral of the
-squared k_r-th derivative, x^T H x, subject to interpolation/continuity
-equalities A x = b and optional corridor inequalities G x <= h.
+one vector x of length (order + 1) * m * d, segment-major.  Segment j spans
+the knots [u_j, u_j + h_j], and its block holds monomial coefficients in
+the local time tau = (t - u_j) / h_j in [0, 1]; a derivative of order p in
+t is the tau-derivative times h_j^-p.  Local time keeps the coefficients
+near the size of the positions they describe (per-segment
+parameterization; Richter, Bry & Roy, ISRR 2013).  The planning problem
+minimises the integral of the squared k_r-th derivative, x^T H x, subject
+to interpolation/continuity equalities A x = b and optional corridor
+inequalities G x <= h.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import (LinAlgError, cho_factor, cho_solve, qr,
+                          solve_triangular)
 from scipy.linalg.lapack import dtrtrs
 
 from .knots import KnotVector
@@ -32,14 +39,15 @@ class OutOfDomain(ValueError):
     """Evaluation parameter outside the knot span."""
 
 
-def basis_row(t: float, deriv: int, order: int) -> np.ndarray:
-    """Row of the deriv-th derivative of the monomials 1, t, ..., t^order."""
+def basis_row(tau: float, deriv: int, order: int,
+              span: float = 1.0) -> np.ndarray:
+    """Row of the deriv-th derivative of the monomials 1, tau, ...,
+    tau^order with respect to t = u + span * tau."""
     row = np.zeros(order + 1)
+    c = span ** -deriv
     for i in range(deriv, order + 1):
-        c = 1.0
-        for k in range(deriv):
-            c *= i - k
-        row[i] = c * t ** (i - deriv)
+        row[i] = math.perm(i, deriv) * c
+        c *= tau
     return row
 
 
@@ -135,24 +143,26 @@ def assemble_equality(waypoints, knots: KnotVector, order: int,
         raise ValueError(f"{m + 1} waypoints need {m + 1} knots")
     if continuity > order:
         raise ValueError("continuity order cannot exceed polynomial order")
-    t = knots.u
+    h = np.diff(knots.u)
+
+    def at(seg, tau, p):
+        """d rows of the p-th t-derivative at local time tau of seg."""
+        return _place(basis_row(tau, p, order, h[seg]), seg, order, dim, m)
 
     a_rows = []
     n_cont = (m - 1) * (continuity + 1) * dim
     for i in range(1, m):
         for p in range(continuity + 1):
-            row = basis_row(t[i], p, order)
-            a_rows.append(_place(row, i - 1, order, dim, m)
-                          - _place(row, i, order, dim, m))
+            a_rows.append(at(i - 1, 1.0, p) - at(i, 0.0, p))
     n_way = (m + 1) * dim
     for i in range(m):
-        a_rows.append(_place(basis_row(t[i], 0, order), i, order, dim, m))
-    a_rows.append(_place(basis_row(t[m], 0, order), m - 1, order, dim, m))
+        a_rows.append(at(i, 0.0, 0))
+    a_rows.append(at(m - 1, 1.0, 0))
     n_term = 2 * continuity * dim
     for p in range(continuity, 0, -1):
-        a_rows.append(_place(basis_row(t[0], p, order), 0, order, dim, m))
+        a_rows.append(at(0, 0.0, p))
     for p in range(continuity, 0, -1):
-        a_rows.append(_place(basis_row(t[m], p, order), m - 1, order, dim, m))
+        a_rows.append(at(m - 1, 1.0, p))
 
     A = np.vstack(a_rows)
     rank = np.linalg.matrix_rank(A)
@@ -187,26 +197,21 @@ def assemble_cost(knots: KnotVector, deriv_order: int, order: int,
                   dim: int) -> CostSpec:
     """Hessian of the integrated squared deriv_order-th derivative.
 
-    Block-diagonal per segment; entries are closed-form monomial integrals
-    over the segment's knot span.  Symmetric positive semidefinite.
+    Block-diagonal per segment.  Over tau in [0, 1] the monomial integrals
+    form one fixed block S0[i, j] = f_i f_j / (i + j - 2k + 1), with f the
+    falling factorials of order k = deriv_order; dt = h dtau and the
+    h^-k of each derivative scale it by h^(1 - 2k) on a segment of span h.
+    Symmetric positive semidefinite.
     """
-    t = knots.u
-    m = t.size - 1
-    width = _coef_width(order, dim)
-    H = np.zeros((m * width, m * width))
-    # at t = 1 the derivative row holds just the falling factorials
+    # at tau = 1 the derivative row holds just the falling factorials
     falling = basis_row(1.0, deriv_order, order)
-    for seg in range(m):
-        S = np.zeros((order + 1, order + 1))
-        for i in range(deriv_order, order + 1):
-            for j in range(deriv_order, order + 1):
-                e = i + j - 2 * deriv_order + 1
-                S[i, j] = (falling[i] * falling[j]
-                           * (t[seg + 1] ** e - t[seg] ** e) / e)
-        block = np.kron(S, np.eye(dim))
-        H[seg * width:(seg + 1) * width, seg * width:(seg + 1) * width] = block
-    H = 0.5 * (H + H.T)
-    return CostSpec(H, deriv_order)
+    i = np.arange(order + 1)
+    e = i[:, None] + i[None, :] - 2 * deriv_order + 1
+    # rows and columns below order k are zero, where e may not be positive
+    S0 = np.outer(falling, falling) / np.maximum(e, 1)
+    scale = np.diff(knots.u) ** (1 - 2 * deriv_order)
+    return CostSpec(np.kron(np.diag(scale), np.kron(S0, np.eye(dim))),
+                    deriv_order)
 
 
 @dataclass
@@ -221,18 +226,23 @@ def corridor_constraints(waypoints, knots: KnotVector, spec: CorridorSpec,
                          order: int) -> AffineInequalities:
     """Linear rows bounding the perpendicular offset from each chord.
 
-    At samples strictly inside each segment, the component of
-    h(s) - q_i perpendicular to the segment direction must satisfy
-    an infinity-norm bound; each sample contributes 2 * dim affine rows.
+    At samples tau = s / (1 + n_c), s = 1 .. n_c, strictly inside each
+    segment, the component of h(tau) - q_i perpendicular to the segment
+    direction must satisfy an infinity-norm bound; each sample contributes
+    2 * dim affine rows, the upper and then the lower bound of each
+    coordinate.  Local time gives every segment the same sample monomials.
     """
     pts = np.asarray(waypoints, dtype=float)
     m = pts.shape[0] - 1
     dim = pts.shape[1]
-    t = knots.u
     widths = np.broadcast_to(np.asarray(spec.width, dtype=float), (m,))
     n_c = spec.samples_per_segment
-    width_cols = m * _coef_width(order, dim)
-    g_rows, h_rows = [], []
+    monos = np.array([basis_row(s / (1.0 + n_c), 0, order)
+                      for s in range(1, n_c + 1)])
+    w = _coef_width(order, dim)
+    rows = 2 * n_c * dim
+    G = np.zeros((m * rows, m * w))
+    h = np.empty(m * rows)
     for seg in range(m):
         chord = pts[seg + 1] - pts[seg]
         norm = np.linalg.norm(chord)
@@ -240,69 +250,14 @@ def corridor_constraints(waypoints, knots: KnotVector, spec: CorridorSpec,
             raise ValueError(f"segment {seg} has zero chord")
         tangent = chord / norm
         P = np.eye(dim) - np.outer(tangent, tangent)
-        for j in range(1, n_c + 1):
-            s = t[seg] + j / (1.0 + n_c) * (t[seg + 1] - t[seg])
-            mono = basis_row(s, 0, order)
-            for r in range(dim):
-                row = np.zeros(width_cols)
-                w = _coef_width(order, dim)
-                row[seg * w:(seg + 1) * w] = np.kron(mono, P[r])
-                offset = float(P[r] @ pts[seg])
-                g_rows.append(row)
-                h_rows.append(widths[seg] + offset)
-                g_rows.append(-row)
-                h_rows.append(widths[seg] - offset)
-    return AffineInequalities(np.array(g_rows), np.array(h_rows))
-
-
-def solve_full_pivot(M: np.ndarray, rhs: np.ndarray,
-                     pivot_rtol: float = 1e-12) -> np.ndarray:
-    """Dense Gaussian elimination with complete pivoting.
-
-    Raises RankDeficient when a pivot falls below pivot_rtol times the
-    largest pivot seen so far.
-    """
-    a = np.array(M, dtype=float)
-    y = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    col_perm = list(range(n))
-    max_piv = 0.0
-    # one buffer serves every pivot search; a contiguous view of its head
-    # keeps argmax in the row-major order of the trailing block
-    buf = np.empty(n * n)
-    for k in range(n):
-        m = n - k
-        sub = np.abs(a[k:, k:], out=buf[:m * m].reshape(m, m))
-        pi, pj = divmod(int(sub.argmax()), m)
-        pi += k
-        pj += k
-        piv = abs(a[pi, pj])
-        if piv <= pivot_rtol * max_piv or piv == 0.0:
-            raise RankDeficient(f"pivot {piv:.3e} at step {k} of {n}")
-        if piv > max_piv:
-            max_piv = piv
-        if pi != k:
-            # left of column k both rows hold only eliminated entries
-            row = a[k, k:].copy()
-            a[k, k:] = a[pi, k:]
-            a[pi, k:] = row
-            y[k], y[pi] = y[pi], y[k]
-        if pj != k:
-            col = a[:, k].copy()
-            a[:, k] = a[:, pj]
-            a[:, pj] = col
-            col_perm[k], col_perm[pj] = col_perm[pj], col_perm[k]
-        if m > 1:
-            # column k below the pivot is eliminated and never read again
-            f = a[k + 1:, k] / a[k, k]
-            a[k + 1:, k + 1:] -= f[:, None] * a[k, k + 1:]
-            y[k + 1:] -= f * y[k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (y[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    out = np.empty(n)
-    out[col_perm] = x
-    return out
+        # row (s, r) of the Kronecker product samples coordinate r at s
+        upper = np.kron(monos, P)
+        G[seg * rows:(seg + 1) * rows, seg * w:(seg + 1) * w] = np.stack(
+            [upper, -upper], axis=1).reshape(rows, w)
+        offset = np.tile(P @ pts[seg], n_c)
+        h[seg * rows:(seg + 1) * rows] = np.stack(
+            [widths[seg] + offset, widths[seg] - offset], axis=1).ravel()
+    return AffineInequalities(G, h)
 
 
 @dataclass
@@ -325,25 +280,35 @@ _DUAL_TOL = 1e-10
 
 
 def _kkt_solve(H: np.ndarray, A: np.ndarray, b: np.ndarray, factor=None):
-    """Minimiser x of x^T H x subject to A x = b, and the multipliers.
+    """Minimiser x of x^T H x subject to A x = b, and the multipliers lam
+    of the stationarity condition 2 H x + A^T lam = 0.
 
-    Without a factor this solves the saddle-point system by complete
-    pivoting, which tolerates a singular H.  factor, when given, is L^-1
-    for the lower Cholesky factor L L^T = 2 H of a positive definite H;
-    then the range-space method applies (Nocedal & Wright, Numerical
-    Optimization, 16.2): with V = L^-1 A^T = Q R, the multipliers are
-    -R^-1 R^-T b and x = L^-T Q R^-T b.  R^T R = A (2 H)^-1 A^T is the
-    Schur complement, so a diagonal entry of R below 1e-6 of the largest
-    is a relative Schur pivot below 1e-12, the rank test of
-    solve_full_pivot.
+    Without a factor this is the null-space method (Nocedal & Wright,
+    Numerical Optimization, 16.2), which tolerates a singular H as long as
+    it is positive definite on null(A).  The pivoted QR A^T P = Q R splits
+    the variables into range(A^T) = span Q_1 and null(A) = span Q_2:
+    x_0 = Q_1 R^-T P^T b meets the rows, the Cholesky factor of the reduced
+    Hessian Q_2^T (2 H) Q_2 gives the step along Q_2 that minimises the
+    cost, and lam = -P R^-1 Q_1^T (2 H x).  A diagonal entry of R at or
+    below 1e-12 of the largest marks a dependent row, and a reduced
+    Hessian that is not positive definite, or whose Cholesky diagonal
+    falls to 1e-6 of its largest (a relative pivot of 1e-12), a singular
+    KKT system; both raise RankDeficient.
+
+    factor, when given, is L^-1 for the lower Cholesky factor L L^T = 2 H
+    of a positive definite H; then the range-space method applies (same
+    section): with V = L^-1 A^T = Q R, the multipliers are -R^-1 R^-T b
+    and x = L^-T Q R^-T b.  R^T R = A (2 H)^-1 A^T is the Schur
+    complement, so a diagonal entry of R below 1e-6 of the largest is a
+    relative Schur pivot below 1e-12.
     """
     n = H.shape[0]
     r = A.shape[0]
+    if r > n:
+        raise RankDeficient(f"{r} rows on {n} variables")
     if factor is not None:
         if r == 0:
             return np.zeros(n), np.zeros(0)
-        if r > n:
-            raise RankDeficient(f"{r} rows on {n} variables")
         Q, R = np.linalg.qr(factor @ A.T)
         diag = np.abs(np.diag(R))
         if diag.min() <= 1e-6 * diag.max():
@@ -352,13 +317,26 @@ def _kkt_solve(H: np.ndarray, A: np.ndarray, b: np.ndarray, factor=None):
         w, _ = dtrtrs(R, b, trans=1)
         lam, _ = dtrtrs(R, w)
         return factor.T @ (Q @ w), -lam
-    K = np.zeros((n + r, n + r))
-    K[:n, :n] = 2.0 * H
-    K[:n, n:] = A.T
-    K[n:, :n] = A
-    rhs = np.concatenate([np.zeros(n), b])
-    sol = solve_full_pivot(K, rhs)
-    return sol[:n], sol[n:]
+    Q, R, perm = qr(A.T, pivoting=True)
+    diag = np.abs(np.diag(R))
+    if r and diag.min() <= 1e-12 * diag.max():
+        k = int(diag.argmin())
+        raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {perm[k]} of {r}")
+    R, Q1, Q2 = R[:r], Q[:, :r], Q[:, r:]
+    x = Q1 @ solve_triangular(R, b[perm], trans="T", check_finite=False)
+    H2 = 2.0 * H
+    try:
+        reduced = cho_factor(Q2.T @ H2 @ Q2)
+        pivots = np.abs(np.diag(reduced[0]))
+        if pivots.size and pivots.min() <= 1e-6 * pivots.max():
+            raise LinAlgError
+    except LinAlgError:
+        raise RankDeficient(
+            "reduced Hessian is not positive definite on null(A)") from None
+    x = x - Q2 @ cho_solve(reduced, Q2.T @ (H2 @ x))
+    lam = np.empty(r)
+    lam[perm] = -solve_triangular(R, Q1.T @ (H2 @ x), check_finite=False)
+    return x, lam
 
 
 def solve_qp(cost: CostSpec, eq: EqualitySystem,
@@ -381,7 +359,8 @@ def solve_qp(cost: CostSpec, eq: EqualitySystem,
 
     factor, for a positive definite Hessian only, is the inverse lower
     Cholesky factor of 2 H that ``_kkt_solve`` takes; every KKT system of
-    the loop is then solved through it instead of by complete pivoting.
+    the loop is then solved through it by the range-space method instead
+    of the null-space method.
     """
     H, A, b = cost.H, eq.A, eq.b
     n = H.shape[0]
@@ -489,5 +468,7 @@ def evaluate(traj: PiecewisePolynomial, t: float, deriv: int = 0) -> np.ndarray:
         raise OutOfDomain(f"t={t} outside [{u[0]}, {u[-1]}]")
     seg = int(np.searchsorted(u, t, side="right")) - 1
     seg = min(max(seg, 0), traj.segments - 1)
-    row = basis_row(float(t), deriv, traj.order)
+    lo = float(u[seg])
+    span = float(u[seg + 1]) - lo
+    row = basis_row((float(t) - lo) / span, deriv, traj.order, span)
     return row @ traj.segment_coefficients(seg)

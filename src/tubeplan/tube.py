@@ -97,15 +97,23 @@ class OptimalVirtualTube:
 
 
 def check_weights(theta, count: int) -> np.ndarray:
-    """Validate simplex weights: length, nonnegative, sum to one."""
+    """Validate simplex weights: length, nonnegative, sum to one.
+
+    Weights within 1e-9 below zero are clamped to zero.  The checks run on
+    a Python list: with a handful of weights, NumPy's per-call overhead
+    would dominate the member combination they guard.
+    """
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != count:
         raise InvalidWeights(f"expected {count} weights, got {theta.size}")
-    if theta.min() < -1e-9:
-        raise InvalidWeights(f"negative weight {theta.min():.3e}")
-    if abs(theta.sum() - 1.0) > 1e-9:
-        raise InvalidWeights(f"weights sum to {theta.sum():.12f}")
-    return np.clip(theta, 0.0, None)
+    values = theta.tolist()
+    low = min(values)
+    if low < -1e-9:
+        raise InvalidWeights(f"negative weight {low:.3e}")
+    total = sum(values)
+    if not abs(total - 1.0) <= 1e-9:     # a NaN weight fails here too
+        raise InvalidWeights(f"weights sum to {total:.12f}")
+    return theta if low >= 0.0 else np.maximum(theta, 0.0)
 
 
 def tube_structure(waypoints: np.ndarray, knots: KnotVector,

@@ -1,9 +1,11 @@
 """End-to-end checks of the package's headline guarantees.
 
 Each test prints one PASS/FAIL line summarizing the measured quantities
-against their bounds.  The shipped scenarios are planned once at module
-scope, and every quadratic-program solution produced along the way is
-retained for the final numerical-hygiene audit.
+against their bounds.  The shipped scenarios are planned, and the corridor
+members of criteria 1 and 2 solved directly, once at module scope; every
+quadratic-program solution produced along the way is retained for the
+final numerical-hygiene audit, which requests those fixtures and so also
+runs alone.
 """
 
 import dataclasses
@@ -108,10 +110,11 @@ def member_error(tube, theta, label):
     return coeff, obj_rel
 
 
-def test_criterion_1_interior_members_match_direct_solves(corridor):
+@pytest.fixture(scope="module")
+def interior_members(corridor):
+    """Direct solves of 9 + 99 evenly spaced interior corridor members:
+    worst coefficient and objective errors, and the time they took."""
     _, tube = corridor
-    assert tube.count == 2 and tube.dim == 2
-    assert tube.config.order == 5 and tube.config.m_target >= 5
     start = time.perf_counter()
     worst_coeff = worst_obj = 0.0
     for count in (9, 99):
@@ -121,14 +124,13 @@ def test_criterion_1_interior_members_match_direct_solves(corridor):
                                           "interior member")
             worst_coeff = max(worst_coeff, coeff)
             worst_obj = max(worst_obj, obj_rel)
-    elapsed = time.perf_counter() - start
-    report(1, worst_coeff <= 1e-6 and worst_obj <= 1e-8 and elapsed < 10.0,
-           f"9+99 interior members: max coeff err {worst_coeff:.2e} "
-           f"(<= 1e-6), max objective rel err {worst_obj:.2e} (<= 1e-8), "
-           f"{elapsed:.1f}s (< 10s)")
+    return worst_coeff, worst_obj, time.perf_counter() - start
 
 
-def test_criterion_2_error_flat_from_10_to_1000_members(corridor):
+@pytest.fixture(scope="module")
+def sampled_members(corridor):
+    """Direct solves of 10 and then 1000 random corridor members: the
+    worst coefficient error of each set, and the time both took."""
     _, tube = corridor
     start = time.perf_counter()
     rng = np.random.default_rng(0)
@@ -142,7 +144,23 @@ def test_criterion_2_error_flat_from_10_to_1000_members(corridor):
 
     err_small = worst_error(10)
     err_large = worst_error(1000)
-    elapsed = time.perf_counter() - start
+    return err_small, err_large, time.perf_counter() - start
+
+
+def test_criterion_1_interior_members_match_direct_solves(corridor,
+                                                          interior_members):
+    _, tube = corridor
+    assert tube.count == 2 and tube.dim == 2
+    assert tube.config.order == 5 and tube.config.m_target >= 5
+    worst_coeff, worst_obj, elapsed = interior_members
+    report(1, worst_coeff <= 1e-6 and worst_obj <= 1e-8 and elapsed < 10.0,
+           f"9+99 interior members: max coeff err {worst_coeff:.2e} "
+           f"(<= 1e-6), max objective rel err {worst_obj:.2e} (<= 1e-8), "
+           f"{elapsed:.1f}s (< 10s)")
+
+
+def test_criterion_2_error_flat_from_10_to_1000_members(sampled_members):
+    err_small, err_large, elapsed = sampled_members
     ratio = err_large / err_small
     report(2, err_large <= 10.0 * err_small and elapsed < 60.0,
            f"max coeff err {err_small:.2e} at 10 members vs {err_large:.2e} "
@@ -277,18 +295,21 @@ def test_criterion_7_twenty_robots_fly_the_tetrahedral_tube(tetra):
 
 def continuity_gap(tube):
     """Worst two-sided derivative mismatch at interior knots, orders 0..p,
-    over the centroid member and every basis member."""
+    over the centroid member and every basis member: the end (tau = 1) of
+    each segment against the start (tau = 0) of the next."""
     q = tube.count
+    order = tube.config.order
+    spans = np.diff(tube.knots.u)
     worst = 0.0
     for theta in [np.full(q, 1.0 / q), *np.eye(q)]:
         traj = member_trajectory(tube, theta)
         for seg in range(tube.knots.segments - 1):
-            knot = float(tube.knots.u[seg + 1])
             for deriv in range(tube.config.continuity + 1):
-                row = basis_row(knot, deriv, tube.config.order)
-                gap = np.abs(row @ traj.segment_coefficients(seg)
-                             - row @ traj.segment_coefficients(seg + 1))
-                worst = max(worst, float(gap.max()))
+                left = (basis_row(1.0, deriv, order, spans[seg])
+                        @ traj.segment_coefficients(seg))
+                right = (basis_row(0.0, deriv, order, spans[seg + 1])
+                         @ traj.segment_coefficients(seg + 1))
+                worst = max(worst, float(np.abs(left - right).max()))
     return worst
 
 
@@ -320,7 +341,8 @@ def second_derivative_fd_error(tube, samples=100, seed=4):
 
 
 def test_criterion_8_numerical_hygiene(corridor, equality_only, triangle,
-                                       tetra, straight_pair):
+                                       tetra, straight_pair,
+                                       interior_members, sampled_members):
     assert len(AUDITED) > 1000 and len(TUBES) >= 6
     worst_eq = max(sol.eq_residual for _, sol in AUDITED)
     worst_ineq = max(sol.ineq_violation for _, sol in AUDITED)

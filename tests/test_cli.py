@@ -74,7 +74,8 @@ def test_verify_flags_tampered_tube(triangle_tube, tmp_path, capsys):
     ("waypoints", 0.5), ("config.continuity", -1),
     ("config.corridor_samples", 0), ("config.corridor_samples", -2),
     ("config.cost_derivative", 9), ("config.corridor_mode", "loose"),
-    ("dimension", 3), ("dimension", "2"), ("dimension", 2.7)])
+    ("dimension", 3), ("dimension", "2"), ("dimension", 2.7),
+    ("schema_version", 1)])
 def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
                                value):
     # array fields get value added to their first number, others are set
@@ -97,6 +98,9 @@ def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if field == "schema_version":
+            # global-time (version 1) tubes are rejected, never converted
+            assert "schema_version 1 unsupported (expected 2)" in err
 
 
 @pytest.mark.parametrize("command, flag, value", [

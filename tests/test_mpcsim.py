@@ -297,25 +297,32 @@ def test_mpc_step_rejects_degenerate_weights():
 
 def test_simulate_factors_the_horizon_hessian_once(monkeypatch):
     # one Cholesky factor per simulation, however many robots and ticks;
-    # no horizon QP falls back to complete pivoting
+    # every horizon KKT system is solved through it (range space), none
+    # by the factor-free null-space method
     factored = []
+    solves = []
     cholesky = np.linalg.cholesky
+    kkt_solve = trajopt._kkt_solve
 
     def counted(a):
         factored.append(1)
         return cholesky(a)
 
-    def forbidden(*args):
-        raise AssertionError("complete pivoting on a horizon QP")
+    def factored_only(H, A, b, factor=None):
+        if factor is None:
+            raise AssertionError("a horizon KKT system without the factor")
+        solves.append(1)
+        return kkt_solve(H, A, b, factor)
 
     tube = straight_pair_tube()
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    monkeypatch.setattr(trajopt, "solve_full_pivot", forbidden)
+    monkeypatch.setattr(trajopt, "_kkt_solve", factored_only)
     log = simulate(tube, [[0.0, 0.2], [0.0, 0.8]],
                    MpcConfig(), AvoidanceModel(axes=np.array([0.3, 0.3])),
                    time_limit=2.0)
     assert log.inputs.shape[:2] == (20, 2)
     assert len(factored) == 1
+    assert len(solves) >= 40      # at least one per robot and tick
 
 
 def test_position_rows_switch_to_box_on_boundary():

@@ -7,9 +7,9 @@ import pytest
 from tubeplan.geometry import OrderPairSet, Terminal
 from tubeplan.mpcsim import Metrics, SimLog
 from tubeplan.scenario_io import (IoError, ParseError, SCHEMA_VERSION,
-                                  ValidationError, VersionError,
-                                  load_scenario, load_tube, save_log,
-                                  save_metrics, save_tube)
+                                  TUBE_SCHEMA_VERSION, ValidationError,
+                                  VersionError, load_scenario, load_tube,
+                                  save_log, save_metrics, save_tube)
 from tubeplan.tube import TrajectoryConfig, tube_from_waypoints
 
 
@@ -130,9 +130,13 @@ def test_robot_placement_is_validated(tmp_path):
 
 
 def test_version_dimension_parse_and_io_errors(tmp_path):
+    # scenarios stay at version 1 while tube documents moved to version 2
     doc = minimal_doc()
-    doc["schema_version"] = 2
-    with pytest.raises(VersionError):
+    assert doc["schema_version"] == SCHEMA_VERSION == 1
+    assert load_scenario(write_doc(tmp_path, doc)).dim == 2
+    doc["schema_version"] = TUBE_SCHEMA_VERSION
+    with pytest.raises(VersionError,
+                       match=r"schema_version 2 unsupported \(expected 1\)"):
         load_scenario(write_doc(tmp_path, doc))
     doc = minimal_doc()
     doc["dimension"] = 4
@@ -235,6 +239,13 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
         doc["schema_version"] = 99
     with pytest.raises(VersionError):
         load_tube(tamper(tmp_path, wrong_version))
+
+    def global_time_version(doc):
+        assert doc["schema_version"] == TUBE_SCHEMA_VERSION == 2
+        doc["schema_version"] = 1
+    with pytest.raises(VersionError,
+                       match=r"schema_version 1 unsupported \(expected 2\)"):
+        load_tube(tamper(tmp_path, global_time_version))
 
     def drop_key(doc):
         del doc["basis_x"]

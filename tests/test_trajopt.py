@@ -6,8 +6,7 @@ from tubeplan.trajopt import (_kkt_solve, AffineInequalities, BoundarySpec, Corr
                               CostSpec, EqualitySystem, Infeasible,
                               OutOfDomain, PiecewisePolynomial, RankDeficient,
                               assemble_cost, assemble_equality, basis_row,
-                              corridor_constraints, evaluate, solve_full_pivot,
-                              solve_qp)
+                              corridor_constraints, evaluate, solve_qp)
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
 
@@ -20,6 +19,10 @@ def test_basis_row_values():
     assert np.allclose(basis_row(0.0, 0, 4), [1.0, 0.0, 0.0, 0.0, 0.0])
     # differentiating past the degree leaves nothing
     assert np.allclose(basis_row(0.7, 4, 3), np.zeros(4))
+    # over a span of 0.5, d/dt = 2 d/dtau and d2/dt2 = 4 d2/dtau2
+    assert np.allclose(basis_row(0.5, 1, 3, 0.5), [0.0, 2.0, 2.0, 1.5])
+    assert np.allclose(basis_row(0.5, 2, 3, 0.5), [0.0, 0.0, 8.0, 12.0])
+    assert np.array_equal(basis_row(0.3, 0, 2, 0.25), basis_row(0.3, 0, 2))
 
 
 def test_cost_matrix_linear_velocity():
@@ -99,28 +102,67 @@ def test_equality_waypoint_count_mismatch():
         assemble_equality(np.array([[0.0], [1.0], [2.0]]), UNIT, 5, 2)
 
 
-def test_solve_full_pivot_matches_reference():
+def _null_space_problem(rng, n, r):
+    """H positive semidefinite of rank n - r + 1 (positive definite when
+    r is 0 or 1), positive definite on the null space of r random rows."""
+    C = rng.standard_normal((r, n))
+    null = np.linalg.svd(C)[2][r:].T if r else np.eye(n)
+    M = rng.standard_normal((n, n))
+    H = null @ (null.T @ (M @ M.T) @ null + 0.5 * np.eye(n - r)) @ null.T
+    if r:
+        H += 0.3 * np.outer(C[0], C[0])
+    return H, C
+
+
+def test_null_space_kkt_matches_reference():
     rng = np.random.default_rng(1)
-    for n in (3, 8, 20):
-        M = rng.standard_normal((n, n)) + n * np.eye(n)
-        rhs = rng.standard_normal(n)
-        assert np.allclose(solve_full_pivot(M, rhs), np.linalg.solve(M, rhs),
-                           atol=1e-9)
+    for n, r in ((4, 0), (3, 1), (8, 5), (20, 7), (20, 19), (12, 12)):
+        H, C = _null_space_problem(rng, n, r)
+        if r > 1:
+            assert np.linalg.matrix_rank(H) < n       # singular H
+        b = rng.standard_normal(r)
+        K = np.block([[2.0 * H, C.T], [C, np.zeros((r, r))]])
+        ref = np.linalg.solve(K, np.concatenate([np.zeros(n), b]))
+        x, lam = _kkt_solve(H, C, b)
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(x - ref[:n]).max() <= 1e-9 * scale
+        assert np.abs(lam - ref[n:]).max(initial=0.0) <= 1e-9 * scale
 
 
-def test_solve_full_pivot_rejects_singular():
-    M = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(RankDeficient):
-        solve_full_pivot(M, np.array([1.0, 1.0]))
-
-
-def test_solve_full_pivot_rejects_late_rank_loss():
+def test_null_space_kkt_rejects_dependent_rows():
     rng = np.random.default_rng(3)
-    M = rng.standard_normal((6, 6))
-    M[5] = M[:5].T @ np.array([0.5, -1.25, 2.0, 0.75, -0.3])
-    # complete pivoting finds five good pivots before the rank runs out
-    with pytest.raises(RankDeficient, match="at step 5 of 6"):
-        solve_full_pivot(M, rng.standard_normal(6))
+    H, _ = _null_space_problem(rng, 6, 0)
+    row = rng.standard_normal(6)
+    with pytest.raises(RankDeficient, match="at row 1 of 2"):
+        _kkt_solve(H, np.array([row, row]), np.ones(2))
+    with pytest.raises(RankDeficient, match="7 rows on 6 variables"):
+        _kkt_solve(H, rng.standard_normal((7, 6)), np.ones(7))
+
+
+def test_null_space_kkt_names_a_late_dependent_row():
+    rng = np.random.default_rng(4)
+    H, _ = _null_space_problem(rng, 6, 0)
+    # four good rows, then a small combination of them: pivoting takes the
+    # larger rows first, and the last one left has no rank to give
+    C = rng.standard_normal((5, 6))
+    C[4] = C[:4].T @ np.array([0.05, -0.125, 0.2, 0.075])
+    with pytest.raises(RankDeficient, match="at row 4 of 5"):
+        _kkt_solve(H, C, rng.standard_normal(5))
+    # the same rows in another order name the same dependent row
+    with pytest.raises(RankDeficient, match="at row 1 of 5"):
+        _kkt_solve(H, C[[0, 4, 1, 2, 3]], rng.standard_normal(5))
+
+
+def test_null_space_kkt_rejects_indefinite_reduced_hessian():
+    C = np.array([[1.0, 0.0, 0.0]])
+    for H in (np.diag([1.0, 0.0, 1.0]),      # singular on null(C)
+              np.diag([1.0, 1.0, -1.0]),     # indefinite on null(C)
+              np.diag([1.0, 1e-14, 1.0])):   # numerically singular
+        with pytest.raises(RankDeficient, match="not positive definite"):
+            _kkt_solve(H, C, np.ones(1))
+    # positive definite on null(C), singular off it: solvable
+    x, lam = _kkt_solve(np.diag([0.0, 1.0, 1.0]), C, np.ones(1))
+    assert np.allclose(x, [1.0, 0.0, 0.0]) and np.allclose(lam, [0.0])
 
 
 def _spd_factor(rng, n):
@@ -296,12 +338,14 @@ def test_continuity_across_interior_knots():
     cost = assemble_cost(kv, 3, 5, 2)
     sol = solve_qp(cost, system)
     traj = PiecewisePolynomial(2, 5, kv, sol.x)
-    # evaluate the adjacent segment polynomials at the shared knot itself
-    for seg, knot in enumerate(kv.u[1:-1]):
+    # at the shared knot, tau = 1 of one segment meets tau = 0 of the next
+    spans = np.diff(kv.u)
+    for seg in range(kv.segments - 1):
         for p in range(4):
-            row = basis_row(float(knot), p, 5)
-            left = row @ traj.segment_coefficients(seg)
-            right = row @ traj.segment_coefficients(seg + 1)
+            left = (basis_row(1.0, p, 5, spans[seg])
+                    @ traj.segment_coefficients(seg))
+            right = (basis_row(0.0, p, 5, spans[seg + 1])
+                     @ traj.segment_coefficients(seg + 1))
             assert np.abs(left - right).max() <= 1e-9
 
 

@@ -93,6 +93,8 @@ def test_check_weights_rejects_bad_input():
         check_weights([-0.2, 1.2], 2)           # negative entry
     with pytest.raises(InvalidWeights):
         check_weights([1.0], 2)                 # wrong length
+    with pytest.raises(InvalidWeights, match="sum to nan"):
+        check_weights([float("nan"), 1.0], 2)   # not a number
     cleaned = check_weights([1.0 + 5e-10, -5e-10], 2)
     assert cleaned.min() >= 0.0
     assert cleaned.sum() == pytest.approx(1.0, abs=1e-9)
