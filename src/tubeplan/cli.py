@@ -7,7 +7,6 @@ byte-identical.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -22,9 +21,10 @@ from .pathfinder import (HomotopyCheckFailed, InvalidEndpoints, NoPathFound,
 from .scenario_io import (IoError, ParseError, Scenario, ValidationError,
                           VersionError, load_scenario, load_tube, save_log,
                           save_metrics, save_tube)
-from .trajopt import Infeasible, MaxIterations, OutOfDomain, RankDeficient
-from .tube import (InvalidWeights, build_tube, combination_benchmark,
-                   member_trajectory, verify_member_optimality)
+from .trajopt import (Infeasible, MaxIterations, OutOfDomain, RankDeficient,
+                      evaluate_grid)
+from .tube import (InvalidWeights, build_tube, check_weights,
+                   combination_benchmark, verify_member_optimality)
 
 _VALIDATION_ERRORS = (ParseError, ValidationError, VersionError,
                       DegenerateTerminal, PointOutsideHull, SizeMismatch,
@@ -83,19 +83,23 @@ def cmd_members(args) -> int:
     tube = load_tube(args.tube)
     thetas = _member_weights(args.count, tube.count, args.seed_override)
     ts = np.linspace(0.0, 1.0, args.samples)
+    # one basis grid serves every member: points[i] = theta_i @ grid
+    grid = evaluate_grid(tube.basis_x, tube.knots, tube.config.order, ts)
+    weights = np.array([check_weights(theta, tube.count) for theta in thetas])
+    points = np.tensordot(weights, grid, 1)     # (members, samples, d)
     axes = "xyz"[:tube.dim]
+    header = (["member", "t"] + [f"p{a}" for a in axes]
+              + [f"theta{k}" for k in range(tube.count)])
+    # the framing of csv.writer: no value here needs quoting
+    t_text = [repr(t) for t in ts.tolist()]
     try:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["member", "t"] + [f"p{a}" for a in axes]
-                            + [f"theta{k}" for k in range(tube.count)])
-            for idx, theta in enumerate(thetas):
-                traj = member_trajectory(tube, theta)
-                for t in ts:
-                    p = traj.evaluate(float(t))
-                    writer.writerow([idx, repr(float(t))]
-                                    + [repr(float(v)) for v in p]
-                                    + [repr(float(v)) for v in theta])
+            fh.write(",".join(header) + "\r\n")
+            for idx, (theta, member) in enumerate(zip(thetas, points)):
+                tail = ",".join(map(repr, theta.tolist()))
+                fh.write("".join(f"{idx},{t},{','.join(map(repr, p))},{tail}"
+                                 "\r\n" for t, p in zip(t_text,
+                                                         member.tolist())))
     except OSError as err:
         raise IoError(f"cannot write {args.out}: {err}") from err
     print(f"wrote {len(thetas)} members x {args.samples} samples to "

@@ -26,6 +26,11 @@ QP ended with on the previous tick (Ferreau, Bock & Diehl, IJRNC 2008):
 consecutive horizons share most of their binding rows, so a warm QP
 mostly settles after one or two KKT solves.  Rows are matched by index,
 so a set is carried over only while the row count stays the same.
+
+Every robot shares one time scaling, so step k of tick t samples the tube
+at the same parameter for all of them.  ``simulate`` evaluates the basis
+once on those parameters (``ReferenceGrid``); every reference window and
+cross-section of the run is a slice of that grid.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -36,9 +41,10 @@ from scipy.linalg import solve_triangular
 from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import PointOutsideHull, barycentric_weights
+from .knots import KnotVector
 from .trajopt import (AffineInequalities, CostSpec, EqualitySystem,
-                      PiecewisePolynomial, RankDeficient, solve_qp)
-from .tube import OptimalVirtualTube, cross_section, member_trajectory
+                      RankDeficient, evaluate_grid, solve_qp)
+from .tube import OptimalVirtualTube, check_weights
 
 # distance-to-facet threshold separating interior from boundary robots
 _BOUNDARY_TOL = 1e-6
@@ -132,41 +138,61 @@ class AvoidanceModel:
 
 @dataclass
 class ReferenceWindow:
-    """Desired states/inputs over one horizon, plus the tube parameters."""
+    """Desired states and inputs over one horizon."""
 
     states: np.ndarray    # (N + 1, 2 d)
     inputs: np.ndarray    # (N + 1, d), feedforward accelerations
-    params: np.ndarray    # (N + 1,) tube parameter per step, capped at 1
-    finished: np.ndarray  # (N + 1,) True where the reference holds the goal
 
 
-def reference_window(traj: PiecewisePolynomial, scaling: TimeScaling,
-                     s_now: float, horizon: int, timestep: float
-                     ) -> ReferenceWindow:
-    """Sample the member trajectory over the next horizon steps.
+@dataclass
+class ReferenceGrid:
+    """Every robot's reference at every grid index g = tick + step.
 
-    Past the end of the tube the reference holds the goal with zero
-    velocity and zero feedforward.
+    The grid stops at the first index whose parameter reaches 1: later
+    indices hold the goal, with zero velocity and zero feedforward, and
+    read the last entry.
     """
-    d = traj.dim
-    n = horizon + 1
-    states = np.zeros((n, 2 * d))
-    inputs = np.zeros((n, d))
-    params = np.zeros(n)
-    finished = np.zeros(n, dtype=bool)
+
+    sections: np.ndarray  # (q, G, d) basis positions: the cross-sections
+    states: np.ndarray    # (M, G, 2 d)
+    inputs: np.ndarray    # (M, G, d), feedforward accelerations
+    params: np.ndarray    # (G,) tube parameter per index, capped at 1
+
+    def index(self, g: np.ndarray) -> np.ndarray:
+        """Grid entries that serve indices g."""
+        return np.minimum(g, self.params.size - 1)
+
+
+def reference_grid(basis_x: np.ndarray, knots: KnotVector, order: int,
+                   thetas: np.ndarray, scaling: TimeScaling, size: int,
+                   timestep: float) -> ReferenceGrid:
+    """References of the members with weights thetas (M, q) over the
+    basis trajectories basis_x (q, n_t), at indices 0 .. size - 1.
+
+    The basis is evaluated once, for derivatives 0 to 2, and each member
+    is thetas @ basis.
+    """
+    # the parameter passes 1 at most two steps after the duration, so
+    # the grid never grows with a long time limit
+    size = int(min(size, scaling.duration / timestep + 3))
+    params = scaling.param(np.arange(size) * timestep)
+    params = np.minimum(params[:np.searchsorted(params, 1.0) + 1], 1.0)
+    basis = [evaluate_grid(basis_x, knots, order, params, p)
+             for p in range(3)]
+    member = [np.tensordot(thetas, b, 1) for b in basis]
     rate = scaling.rate
-    for k in range(n):
-        t = scaling.param(s_now + k * timestep)
-        if t >= 1.0:
-            params[k] = 1.0
-            finished[k] = True
-            states[k, :d] = traj.evaluate(1.0)
-        else:
-            params[k] = t
-            states[k, :d] = traj.evaluate(t)
-            states[k, d:] = traj.evaluate(t, 1) * rate
-            inputs[k] = traj.evaluate(t, 2) * rate * rate
-    return ReferenceWindow(states, inputs, params, finished)
+    moving = (params < 1.0)[:, None]
+    states = np.concatenate(
+        [member[0], np.where(moving, member[1] * rate, 0.0)], axis=2)
+    inputs = np.where(moving, member[2] * (rate * rate), 0.0)
+    return ReferenceGrid(basis[0], states, inputs, params)
+
+
+def reference_window(grid: ReferenceGrid, robot: int, tick: int,
+                     horizon: int) -> ReferenceWindow:
+    """One robot's reference over the horizon that starts at a tick."""
+    g = grid.index(np.arange(tick, tick + horizon + 1))
+    return ReferenceWindow(grid.states[robot, g], grid.inputs[robot, g])
 
 
 @dataclass
@@ -429,14 +455,16 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     """
     starts = np.asarray(starts, dtype=float)
     M, d = starts.shape
-    thetas = []
+    thetas = np.zeros((M, tube.count))
     for i, p in enumerate(starts):
         try:
-            thetas.append(barycentric_weights(p, tube.pairs.starts))
+            thetas[i] = check_weights(
+                barycentric_weights(p, tube.pairs.starts), tube.count)
         except PointOutsideHull as err:
             raise StartOutsideTerminal(f"robot {i}: {err}") from err
-    trajs = [member_trajectory(tube, th) for th in thetas]
-    goals = np.array([traj.evaluate(1.0) for traj in trajs])
+    order = tube.config.order
+    goals = np.tensordot(
+        thetas, evaluate_grid(tube.basis_x, tube.knots, order, 1.0), 1)[:, 0]
     scaling = TimeScaling(tube.chord_total, config.reference_speed)
     if time_limit is None:
         time_limit = 3.0 * scaling.duration
@@ -444,6 +472,8 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     N = config.horizon
     ticks = int(np.floor(time_limit / Ts + 1e-9))
     horizon = horizon_qp(config, d, N)
+    refs = reference_grid(tube.basis_x, tube.knots, order, thetas, scaling,
+                          ticks + N + 1, Ts)
 
     states = np.zeros((ticks + 1, M, 2 * d))
     states[0, :, :d] = starts
@@ -460,10 +490,8 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
 
     used = 0
     for tick in range(ticks):
-        s_now = tick * Ts
-        windows = [reference_window(trajs[i], scaling, s_now, N, Ts)
-                   for i in range(M)]
-        section_rows = _section_rows(tube, windows[0].params, hulls)
+        windows = [reference_window(refs, i, tick, N) for i in range(M)]
+        section_rows = _section_rows(refs, tick, N, hulls)
 
         def step_robot(i):
             window = windows[i]
@@ -513,19 +541,18 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
                   timestep=Ts, max_slack=max_slack[:used])
 
 
-def _section_rows(tube: OptimalVirtualTube, params: np.ndarray,
+def _section_rows(refs: ReferenceGrid, tick: int, horizon: int,
                   hulls: dict):
-    """Cross-section facet rows per horizon step (None when flat).
+    """Cross-section facet rows for steps 1..N of a tick (None when flat).
 
-    hulls caches the rows by the exact tube parameter for one simulation:
-    every robot shares the time scaling, so ticks revisit the same few
-    parameters.
+    hulls caches the rows by grid entry for one simulation: every robot
+    shares the grid, so ticks revisit the same entries.
     """
     rows = []
-    for t in params[1:].tolist():
-        if t not in hulls:
-            hulls[t] = hull_inequalities(cross_section(tube, t).points)
-        rows.append(hulls[t])
+    for g in refs.index(np.arange(tick + 1, tick + horizon + 1)).tolist():
+        if g not in hulls:
+            hulls[g] = hull_inequalities(refs.sections[:, g])
+        rows.append(hulls[g])
     return rows
 
 

@@ -454,17 +454,15 @@ class PiecewisePolynomial:
         w = _coef_width(self.order, self.dim)
         return self.x[seg * w:(seg + 1) * w].reshape(self.order + 1, self.dim)
 
-    def evaluate(self, t: float, deriv: int = 0) -> np.ndarray:
-        return evaluate(self, t, deriv)
-
 
 def evaluate(traj: PiecewisePolynomial, t: float, deriv: int = 0) -> np.ndarray:
     """Trajectory value or derivative at global parameter t.
 
     Segments own right-open knot intervals; the final segment is closed.
+    A parameter that is not a finite number is out of the domain.
     """
     u = traj.knots.u
-    if t < u[0] - 1e-12 or t > u[-1] + 1e-12:
+    if not u[0] - 1e-12 <= t <= u[-1] + 1e-12:     # NaN fails here too
         raise OutOfDomain(f"t={t} outside [{u[0]}, {u[-1]}]")
     seg = int(np.searchsorted(u, t, side="right")) - 1
     seg = min(max(seg, 0), traj.segments - 1)
@@ -472,3 +470,33 @@ def evaluate(traj: PiecewisePolynomial, t: float, deriv: int = 0) -> np.ndarray:
     span = float(u[seg + 1]) - lo
     row = basis_row((float(t) - lo) / span, deriv, traj.order, span)
     return row @ traj.segment_coefficients(seg)
+
+
+def evaluate_grid(x: np.ndarray, knots: KnotVector, order: int, t,
+                  deriv: int = 0) -> np.ndarray:
+    """Derivative ``deriv`` of q trajectories at every parameter in t.
+
+    x is (q, n_t): one stacked coefficient vector per row, all on the
+    same knots and polynomial order.  Returns (q, len(t), d).  The segment
+    rule and the domain check are those of ``evaluate``; one segment
+    lookup and one contraction serve every row and parameter, so a convex
+    combination of the rows is theta @ grid.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    u = knots.u
+    inside = (t >= u[0] - 1e-12) & (t <= u[-1] + 1e-12)
+    if not inside.all():
+        raise OutOfDomain(f"t={t[~inside][0]} outside [{u[0]}, {u[-1]}]")
+    m = knots.segments
+    seg = np.clip(np.searchsorted(u, t, side="right") - 1, 0, m - 1)
+    lo = u[seg]
+    span = u[seg + 1] - lo
+    tau = (t - lo) / span
+    # basis_row for every parameter at once, column by column
+    rows = np.zeros((t.size, order + 1))
+    c = span ** -deriv
+    for i in range(deriv, order + 1):
+        rows[:, i] = math.perm(i, deriv) * c
+        c = c * tau
+    coeffs = x.reshape(x.shape[0], m, order + 1, -1)
+    return np.einsum("si,qsid->qsd", rows, coeffs[:, seg])

@@ -23,7 +23,7 @@ from .pathfinder import (ObstacleSet, RrtConfig, equalize_waypoints,
 from .trajopt import (AffineInequalities, CorridorSpec, CostSpec,
                       EqualitySystem, PiecewisePolynomial, QpSolution,
                       assemble_cost, assemble_equality, corridor_constraints,
-                      equality_rhs, solve_qp)
+                      equality_rhs, evaluate_grid, solve_qp)
 
 CORRIDOR_MODES = ("strict", "none")
 
@@ -270,32 +270,26 @@ def verify_member_optimality(tube: OptimalVirtualTube, theta,
     _, s, vh = np.linalg.svd(walls)
     rank = int((s > s[0] * 1e-12).sum())
     null = vh[rank:].T
-    rng = np.random.default_rng(seed)
-    grad = 2.0 * H @ x
-    variational_min = np.inf
-    scale = 1e-8 * max(1.0, float(np.abs(x).max()))
-    for _ in range(directions):
-        if null.shape[1] == 0:
-            variational_min = 0.0
-            break
-        step = null @ rng.standard_normal(null.shape[1])
-        step *= scale / max(np.linalg.norm(step), 1e-300)
-        alpha = 1.0
+    variational_min = 0.0
+    if null.shape[1] and directions:
+        # one row per probe: the same stream as one draw per direction
+        rng = np.random.default_rng(seed)
+        steps = rng.standard_normal((directions, null.shape[1])) @ null.T
+        scale = 1e-8 * max(1.0, float(np.abs(x).max()))
+        steps *= (scale / np.maximum(np.linalg.norm(steps, axis=1),
+                                     1e-300))[:, None]
+        alpha = np.ones(directions)
         if corridor is not None:
-            g_step = corridor.G @ step
-            room = np.maximum(slack, 0.0)
-            tight = g_step > 1e-300
-            if tight.any():
-                alpha = min(alpha, 0.99 * float(
-                    np.min(room[tight] / g_step[tight])))
-        if alpha <= 0.0:
-            continue
+            g_steps = steps @ corridor.G.T
+            ratio = np.divide(np.maximum(slack, 0.0), g_steps,
+                              out=np.full_like(g_steps, np.inf),
+                              where=g_steps > 1e-300)
+            alpha = np.minimum(alpha, 0.99 * ratio.min(axis=1))
         # y - x is alpha * step by construction; using the exact step
         # avoids the cancellation noise of forming (x + step) - x.
-        variational_min = min(variational_min,
-                              float(grad @ (alpha * step)))
-    if not np.isfinite(variational_min):
-        variational_min = 0.0
+        probes = (alpha[:, None] * steps) @ (2.0 * H @ x)
+        if (alpha > 0.0).any():
+            variational_min = float(probes[alpha > 0.0].min())
 
     passed = (eq_residual <= 1e-8 and corridor_violation <= 1e-8
               and coefficient_error <= 1e-6
@@ -317,10 +311,8 @@ class CrossSection:
 
 def cross_section(tube: OptimalVirtualTube, t: float) -> CrossSection:
     """Basis trajectory positions at parameter t."""
-    pts = np.array([
-        member_trajectory(tube, np.eye(tube.count)[k]).evaluate(t)
-        for k in range(tube.count)])
-    return CrossSection(float(t), pts)
+    pts = evaluate_grid(tube.basis_x, tube.knots, tube.config.order, t)
+    return CrossSection(float(t), pts[:, 0])
 
 
 @dataclass

@@ -18,7 +18,7 @@ from tubeplan.cli import plan_tube
 from tubeplan.geometry import OrderPairSet, Terminal
 from tubeplan.mpcsim import compute_metrics, simulate
 from tubeplan.scenario_io import load_scenario
-from tubeplan.trajopt import basis_row
+from tubeplan.trajopt import basis_row, evaluate
 from tubeplan.tube import (TrajectoryConfig, direct_member_solve,
                            member_trajectory, tube_from_waypoints,
                            verify_member_optimality)
@@ -331,10 +331,10 @@ def second_derivative_fd_error(tube, samples=100, seed=4):
         if interior.size and np.abs(t - interior).min() < 2.5 * h:
             continue
         taken += 1
-        exact = traj.evaluate(t, deriv=2)
-        stencil = (-traj.evaluate(t + 2 * h) + 16 * traj.evaluate(t + h)
-                   - 30 * traj.evaluate(t) + 16 * traj.evaluate(t - h)
-                   - traj.evaluate(t - 2 * h)) / (12 * h * h)
+        exact = evaluate(traj, t, deriv=2)
+        stencil = (-evaluate(traj, t + 2 * h) + 16 * evaluate(traj, t + h)
+                   - 30 * evaluate(traj, t) + 16 * evaluate(traj, t - h)
+                   - evaluate(traj, t - 2 * h)) / (12 * h * h)
         rel = np.abs(stencil - exact) / np.maximum(1.0, np.abs(exact))
         worst = max(worst, float(rel.max()))
     return worst

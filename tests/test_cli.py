@@ -6,6 +6,8 @@ import pytest
 
 from tubeplan.cli import main
 from tubeplan.scenario_io import load_tube
+from tubeplan.trajopt import evaluate
+from tubeplan.tube import member_trajectory
 
 TRIANGLE = "scenarios/triangle_2d.json"
 
@@ -42,6 +44,33 @@ def test_members_writes_sample_lattice(triangle_tube, tmp_path, capsys):
     assert len(rows) == 1 + 7 * 20
     weights = [float(v) for v in rows[1][4:]]
     assert weights == [1.0, 0.0, 0.0]
+
+
+def test_members_csv_matches_per_sample_evaluation(triangle_tube, tmp_path,
+                                                   capsys):
+    out = tmp_path / "members.csv"
+    code = main(["members", "--tube", str(triangle_tube), "--out", str(out),
+                 "--count", "6", "--samples", "9", "--seed-override", "7"])
+    assert code == 0
+    capsys.readouterr()
+    raw = out.read_bytes()
+    # csv.writer framing: CRLF after every line, the header first
+    lines = raw.decode("utf-8").split("\r\n")
+    assert lines.pop() == ""
+    assert "\n" not in "".join(lines)
+    assert lines[0] == "member,t,px,py,theta0,theta1,theta2"
+    assert len(lines) == 1 + 9 * 9
+    tube = load_tube(triangle_tube)
+    ts = np.linspace(0.0, 1.0, 9)
+    for i, line in enumerate(lines[1:]):
+        values = line.split(",")
+        assert int(values[0]) == i // 9
+        t = float(values[1])
+        assert t == ts[i % 9]
+        theta = [float(v) for v in values[4:]]
+        ref = evaluate(member_trajectory(tube, theta), t)
+        assert np.abs(np.array(values[2:4], dtype=float) - ref).max() <= (
+            1e-12 * max(1.0, float(np.abs(ref).max())))
 
 
 def test_verify_passes_on_planned_tube(triangle_tube, capsys):

@@ -8,11 +8,12 @@ from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters,
                              StartOutsideTerminal, TimeScaling,
                              avoidance_halfspaces, boundary_margin,
                              compute_metrics, horizon_qp, hull_inequalities,
-                             mpc_step, reference_window, simulate,
-                             _position_rows)
+                             mpc_step, reference_grid, reference_window,
+                             simulate, _position_rows, _section_rows)
 from tubeplan import trajopt
 from tubeplan.trajopt import PiecewisePolynomial, RankDeficient
-from tubeplan.tube import TrajectoryConfig, tube_from_waypoints
+from tubeplan.tube import (TrajectoryConfig, cross_section, member_trajectory,
+                           tube_from_waypoints)
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
 
@@ -36,24 +37,111 @@ def test_time_scaling():
     assert scaling.param(2.0) == pytest.approx(0.25)
 
 
+def _window(traj, scaling, tick, horizon, timestep):
+    """reference_window of one trajectory, taken as a one-member basis."""
+    grid = reference_grid(traj.x[None], traj.knots, traj.order,
+                          np.ones((1, 1)), scaling, tick + horizon + 1,
+                          timestep)
+    return reference_window(grid, 0, tick, horizon)
+
+
 def test_reference_window_tracks_then_holds_goal():
     traj = PiecewisePolynomial(1, 1, UNIT, np.array([0.0, 2.0]))  # h(t) = 2t
     scaling = TimeScaling(total_chord=2.0, speed=1.0)             # rate 0.5
-    window = reference_window(traj, scaling, s_now=1.5, horizon=10,
-                              timestep=0.1)
-    # t = 0.75 + 0.05 k crosses 1.0 at k = 5
+    grid = reference_grid(traj.x[None], traj.knots, traj.order,
+                          np.ones((1, 1)), scaling, 26, 0.1)
+    # t = 0.05 g reaches 1.0 at g = 20, where the grid stops
+    assert grid.params.size == 21
+    assert grid.params[-1] == 1.0
+    window = reference_window(grid, 0, tick=15, horizon=10)
     for k in range(5):
-        assert not window.finished[k]
-        assert window.params[k] == pytest.approx(0.75 + 0.05 * k)
-        assert window.states[k, 0] == pytest.approx(2 * window.params[k])
+        t = 0.75 + 0.05 * k
+        assert window.states[k, 0] == pytest.approx(2 * t)
         assert window.states[k, 1] == pytest.approx(1.0)   # 2 * rate
         assert window.inputs[k, 0] == pytest.approx(0.0)
     for k in range(5, 11):
-        assert window.finished[k]
-        assert window.params[k] == 1.0
         assert window.states[k, 0] == pytest.approx(2.0)
         assert window.states[k, 1] == 0.0
         assert window.inputs[k, 0] == 0.0
+
+
+def _scalar_window(traj, scaling, tick, horizon, timestep):
+    """The per-step reference: one evaluate call per step and derivative,
+    the goal held with zero velocity and feedforward from t = 1 on."""
+    d = traj.dim
+    states = np.zeros((horizon + 1, 2 * d))
+    inputs = np.zeros((horizon + 1, d))
+    rate = scaling.rate
+    for k in range(horizon + 1):
+        t = scaling.param((tick + k) * timestep)
+        if t >= 1.0:
+            states[k, :d] = trajopt.evaluate(traj, 1.0)
+        else:
+            states[k, :d] = trajopt.evaluate(traj, t)
+            states[k, d:] = trajopt.evaluate(traj, t, 1) * rate
+            inputs[k] = trajopt.evaluate(traj, t, 2) * rate * rate
+    return states, inputs
+
+
+def test_reference_grid_matches_per_step_reference():
+    tube = straight_pair_tube()
+    thetas = np.array([[0.7, 0.3], [0.25, 0.75]])
+    scaling = TimeScaling(tube.chord_total, 2.5)
+    Ts, N = 0.1, 10
+    # the tube ends near tick 48, so the last ticks run past its end
+    ticks = int(scaling.duration / Ts) + 8
+    grid = reference_grid(tube.basis_x, tube.knots, tube.config.order,
+                          thetas, scaling, ticks + N + 1, Ts)
+    assert grid.params[-1] == 1.0 and grid.params.size < ticks + N + 1
+    # a longer time limit does not grow the grid
+    longer = reference_grid(tube.basis_x, tube.knots, tube.config.order,
+                            thetas, scaling, 10 ** 6, Ts)
+    assert np.array_equal(longer.params, grid.params)
+    for i, theta in enumerate(thetas):
+        traj = member_trajectory(tube, theta)
+        goal = trajopt.evaluate(traj, 1.0)
+        for tick in range(ticks):
+            window = reference_window(grid, i, tick, N)
+            states, inputs = _scalar_window(traj, scaling, tick, N, Ts)
+            scale = max(1.0, float(np.abs(inputs).max()))
+            assert np.abs(window.states - states).max() <= 1e-12 * scale
+            assert np.abs(window.inputs - inputs).max() <= 1e-12 * scale
+        # past the end: the goal held, zero velocity and feedforward
+        assert np.abs(window.states[:, :2] - goal).max() <= 1e-12
+        assert np.array_equal(window.states[:, 2:], np.zeros((N + 1, 2)))
+        assert np.array_equal(window.inputs, np.zeros((N + 1, 2)))
+    # cross-sections are the basis positions of the same grid
+    for g in (0, 17, grid.params.size - 1):
+        section = cross_section(tube, grid.params[g]).points
+        assert np.abs(grid.sections[:, g] - section).max() <= 1e-12
+
+
+def test_section_rows_follow_the_horizon_steps():
+    # three paths whose triangular cross-section shrinks along the tube
+    xs = np.linspace(0.0, 12.0, 7)[:, None]
+    shrink = 1.0 - xs / 24.0
+    corners = np.array([[0.0, -2.0], [0.0, 2.0], [-1.5, 0.0]])
+    waypoints = np.array([np.hstack([xs + c[0] * shrink, c[1] * shrink])
+                          for c in corners])
+    pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
+                         Terminal(waypoints[:, -1, :]), np.arange(3))
+    tube = tube_from_waypoints(
+        pairs, waypoints, TrajectoryConfig(m_target=6, corridor_mode="none"))
+    grid = reference_grid(tube.basis_x, tube.knots, tube.config.order,
+                          np.eye(3), TimeScaling(tube.chord_total, 2.5), 80,
+                          0.1)
+    probes = np.random.default_rng(2).uniform([0.0, -2.0], [12.0, 2.0],
+                                              (20, 2))
+    tick, N = 7, 10
+    rows = _section_rows(grid, tick, N, {})
+    assert len(rows) == N
+    # row k belongs to step k + 1 of the horizon
+    for k, facets in enumerate(rows):
+        section = cross_section(tube, grid.params[tick + k + 1]).points
+        ref = hull_inequalities(section)
+        for p in probes:
+            assert boundary_margin(facets, p) == pytest.approx(
+                boundary_margin(ref, p), abs=1e-12)
 
 
 def test_avoidance_tangent_oracle():
@@ -147,7 +235,7 @@ def test_hull_inequalities_square_and_degenerate():
 def _linear_window(horizon=10, timestep=0.1):
     traj = PiecewisePolynomial(1, 1, UNIT, np.array([0.0, 2.0]))
     scaling = TimeScaling(total_chord=2.0, speed=1.0)
-    return reference_window(traj, scaling, 0.0, horizon, timestep)
+    return _window(traj, scaling, 0, horizon, timestep)
 
 
 def _horizon(config, window):
@@ -177,7 +265,7 @@ def _curved_window(horizon):
     traj = PiecewisePolynomial(2, 2, UNIT,
                                np.array([0.0, 0.0, 2.0, 1.0, 1.0, -2.0]))
     scaling = TimeScaling(total_chord=2.0, speed=1.0)
-    return reference_window(traj, scaling, 0.3, horizon, 0.1)
+    return _window(traj, scaling, 3, horizon, 0.1)
 
 
 def test_mpc_step_matches_state_space_kkt():
@@ -273,7 +361,7 @@ def test_mpc_step_respects_input_limit():
     traj = PiecewisePolynomial(1, 1, UNIT, np.array([0.0, 2.0]))
     scaling = TimeScaling(total_chord=2.0, speed=1.0)
     # reference already holds the goal at 2; the robot sits at 0
-    window = reference_window(traj, scaling, 10.0, 10, 0.1)
+    window = _window(traj, scaling, 100, 10, 0.1)
     config = MpcConfig(input_limit=0.5)
     u0, plan, slack, _ = mpc_step(np.array([0.0, 0.0]), window, None,
                                   _horizon(config, window))

@@ -6,7 +6,8 @@ from tubeplan.trajopt import (_kkt_solve, AffineInequalities, BoundarySpec, Corr
                               CostSpec, EqualitySystem, Infeasible,
                               OutOfDomain, PiecewisePolynomial, RankDeficient,
                               assemble_cost, assemble_equality, basis_row,
-                              corridor_constraints, evaluate, solve_qp)
+                              corridor_constraints, evaluate, evaluate_grid,
+                              solve_qp)
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
 
@@ -391,6 +392,36 @@ def test_evaluate_domain_checks():
         evaluate(traj, 1.1)
     with pytest.raises(OutOfDomain):
         evaluate(traj, -0.1)
+    # NaN fails both comparisons; it must not be clamped into a segment
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfDomain):
+            evaluate(traj, bad)
+
+
+def test_evaluate_grid_domain_checks():
+    traj = PiecewisePolynomial(1, 1, UNIT, np.array([0.0, 1.0]))
+    basis = np.vstack([traj.x, 2.0 * traj.x])
+    grid = evaluate_grid(basis, UNIT, 1, [0.0, 0.25, 1.0])
+    assert grid.shape == (2, 3, 1)
+    assert np.array_equal(grid[:, :, 0], [[0.0, 0.25, 1.0], [0.0, 0.5, 2.0]])
+    for bad in (1.1, -0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfDomain, match="outside"):
+            evaluate_grid(basis, UNIT, 1, [0.5, bad])
+
+
+def test_evaluate_grid_takes_right_open_segments():
+    # random coefficients jump at every knot, so a knot read from the
+    # wrong segment shows; the last segment is closed at t = 1
+    kv = KnotVector(np.array([0.0, 0.3, 0.7, 1.0]), normalized=True)
+    basis = np.random.default_rng(5).normal(size=(2, 4 * 3 * 2))
+    ts = np.concatenate([kv.u, np.random.default_rng(6).uniform(0, 1, 20)])
+    for deriv in range(3):
+        grid = evaluate_grid(basis, kv, 3, ts, deriv)
+        for k, x in enumerate(basis):
+            traj = PiecewisePolynomial(2, 3, kv, x)
+            ref = np.array([evaluate(traj, t, deriv) for t in ts])
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert np.abs(grid[k] - ref).max() <= 1e-12 * scale
 
 
 def test_piecewise_polynomial_size_check():

@@ -3,6 +3,7 @@ import pytest
 
 from tubeplan.geometry import OrderPairSet, Terminal, assign_vertices
 from tubeplan.pathfinder import ObstacleSet, RrtConfig, equalize_waypoints
+from tubeplan.trajopt import PiecewisePolynomial, evaluate, evaluate_grid
 from tubeplan.tube import (BenchmarkRow, InvalidWeights, TrajectoryConfig,
                            build_tube, check_weights, combination_benchmark,
                            combine_rhs, cross_section, direct_member_solve,
@@ -48,8 +49,8 @@ def test_member_endpoints_interpolate_terminals(triangle_tube):
     traj = member_trajectory(tube, theta)
     start = tube.pairs.starts.vertices.T @ theta
     goal = tube.pairs.paired_goals().T @ theta
-    assert np.allclose(traj.evaluate(0.0), start, atol=1e-7)
-    assert np.allclose(traj.evaluate(1.0), goal, atol=1e-7)
+    assert np.allclose(evaluate(traj, 0.0), start, atol=1e-7)
+    assert np.allclose(evaluate(traj, 1.0), goal, atol=1e-7)
 
 
 def test_member_matches_direct_solve(triangle_tube):
@@ -106,6 +107,40 @@ def test_cross_section_endpoints(triangle_tube):
     sec1 = cross_section(tube, 1.0)
     assert np.allclose(sec0.points, tube.pairs.starts.vertices, atol=1e-7)
     assert np.allclose(sec1.points, tube.pairs.paired_goals(), atol=1e-7)
+
+
+_SKEW_3D = [[[0.0, 0.0, 0.0], [3.0, 1.0, 0.5], [6.0, 0.0, 2.0],
+             [9.0, -1.0, 1.0], [12.0, 0.0, 0.0]],
+            [[0.0, 2.0, 0.0], [3.0, 3.0, 1.0], [6.0, 2.5, 2.0],
+             [9.0, 1.0, 1.5], [12.0, 2.0, 0.0]],
+            [[0.0, 1.0, 2.0], [3.0, 2.0, 3.0], [6.0, 1.0, 4.0],
+             [9.0, 0.0, 2.5], [12.0, 1.0, 2.0]]]
+
+
+@pytest.mark.parametrize("tube_kind", ["triangle_2d", "skew_3d"])
+def test_evaluate_grid_matches_scalar_evaluate(triangle_tube, tube_kind):
+    tube = (triangle_tube if tube_kind == "triangle_2d"
+            else hand_tube(_SKEW_3D, TrajectoryConfig(m_target=4)))
+    order = tube.config.order
+    # every knot (right-open segments, closed last one), the ends, and
+    # random parameters
+    ts = np.concatenate([tube.knots.u, [0.0, 1.0],
+                         np.random.default_rng(3).uniform(0.0, 1.0, 40)])
+    for deriv in range(3):
+        grid = evaluate_grid(tube.basis_x, tube.knots, order, ts, deriv)
+        assert grid.shape == (tube.count, ts.size, tube.dim)
+        for k, x in enumerate(tube.basis_x):
+            traj = PiecewisePolynomial(tube.dim, order, tube.knots, x)
+            ref = np.array([evaluate(traj, t, deriv) for t in ts])
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert np.abs(grid[k] - ref).max() <= 1e-12 * scale
+        # a member is the weighted sum of the basis rows
+        theta = np.array([0.2, 0.3, 0.5])
+        member = member_trajectory(tube, theta)
+        ref = np.array([evaluate(member, t, deriv) for t in ts])
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(np.tensordot(theta, grid, 1) - ref).max() <= (
+            1e-12 * scale)
 
 
 def test_combination_benchmark_rows(triangle_tube):
