@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
     tube = load_tube(args.tube) if args.tube else plan_tube(scenario)
     log = simulate(tube, scenario.robot_starts, scenario.mpc,
                    scenario.avoidance, time_limit=scenario.time_limit,
-                   goal_radius=scenario.goal_radius, threads=args.threads)
+                   goal_radius=scenario.goal_radius)
     limit = scenario.time_limit
     if limit is None:
         limit = float(log.times[-1])
@@ -200,7 +200,8 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None, help="log CSV output path")
     sim.add_argument("--metrics", default=None,
                      help="metrics JSON output path")
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, choices=[1], default=1,
+                     help="only 1: every tick runs serially")
     sim.set_defaults(func=cmd_simulate)
     return parser
 

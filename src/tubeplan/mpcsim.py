@@ -33,8 +33,7 @@ once on those parameters (``ReferenceGrid``); every reference window and
 cross-section of the run is a slice of that grid.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -200,7 +199,8 @@ class Halfspaces:
     """Exclusion rows per neighbour and horizon step.
 
     Row (j, k): normals[j, k] . p_k >= offsets[j, k] - s_k keeps robot i
-    outside neighbour j's Minkowski ellipse at step k.
+    outside neighbour j's Minkowski ellipse at step k.  Batched calls
+    prepend their leading axes to both arrays.
     """
 
     normals: np.ndarray   # (J, N + 1, d)
@@ -212,38 +212,49 @@ def avoidance_halfspaces(self_pred: np.ndarray, neighbor_preds: np.ndarray,
                          ) -> Halfspaces:
     """Tangent half-spaces of the pairwise Minkowski ellipses.
 
-    For each neighbour and step, the half-space is tangent to the ellipse
-    around the neighbour's predicted center at the point where the segment
-    to our own predicted center exits it.  Coincident centers fall back to
-    the previous valid normal for that neighbour (previous step, then
-    previous tick); with no fallback at all this raises CoincidentCenters.
+    self_pred is (..., n, d) and neighbor_preds (..., J, n, d), with the
+    same leading axes; simulate passes every robot at once.  For each
+    neighbour and step, the half-space is tangent to the ellipse around
+    the neighbour's predicted center at the point where the segment to
+    our own predicted center exits it.  Coincident centers fall back to
+    the previous valid normal for that neighbour: the previous step, then
+    prev_normals (..., J, d), the previous tick's, NaN where there is
+    none.  With no fallback at all this raises CoincidentCenters.
     """
     self_pred = np.asarray(self_pred, dtype=float)
     neighbor_preds = np.asarray(neighbor_preds, dtype=float)
-    if neighbor_preds.ndim == 2:
-        neighbor_preds = neighbor_preds[None]
-    n = neighbor_preds.shape[1]
+    if neighbor_preds.ndim == self_pred.ndim:
+        neighbor_preds = neighbor_preds[..., None, :, :]
+    n = neighbor_preds.shape[-2]
     E = model.minkowski_scaling()
-    r = self_pred[None] - neighbor_preds                  # (J, n, d)
-    apart = np.linalg.norm(r @ E.T, axis=2) >= 1e-9
+    r = self_pred[..., None, :, :] - neighbor_preds       # (..., J, n, d)
+    apart = np.linalg.norm(r @ E.T, axis=-1) >= 1e-9
     grad = r @ (E.T @ E)
-    normals = np.divide(grad, np.linalg.norm(grad, axis=2, keepdims=True),
+    normals = np.divide(grad, np.linalg.norm(grad, axis=-1, keepdims=True),
                         out=np.zeros_like(grad), where=apart[..., None])
     # a coincident step reuses the normal of the latest distinct step
-    source = np.maximum.accumulate(np.where(apart, np.arange(n), -1), axis=1)
+    source = np.maximum.accumulate(np.where(apart, np.arange(n), -1),
+                                   axis=-1)
     normals = np.take_along_axis(normals, np.maximum(source, 0)[..., None],
-                                 axis=1)
+                                 axis=-2)
     # steps before the first distinct one reuse the previous tick's normal
     leading = source < 0
-    for j in np.flatnonzero(leading[:, 0]):
-        if prev_normals is None or prev_normals[j] is None:
-            raise CoincidentCenters(f"neighbour {j} coincides at step 0")
-        normals[j, leading[j]] = prev_normals[j]
+    if prev_normals is None:
+        prev_normals = np.full(normals.shape[:-2] + normals.shape[-1:],
+                               np.nan)
+    prev_normals = np.asarray(prev_normals, dtype=float)
+    missing = leading[..., 0] & np.isnan(prev_normals).any(axis=-1)
+    if missing.any():
+        *batch, j = np.argwhere(missing)[0].tolist()
+        at = f" (batch index {batch})" if batch else ""
+        raise CoincidentCenters(f"neighbour {j} coincides at step 0{at}")
+    normals = np.where(leading[..., None], prev_normals[..., None, :],
+                       normals)
     # the exit point along r, or along the reused normal when r vanishes
     toward = np.where(apart[..., None], r, normals)
     touch = neighbor_preds + toward / np.linalg.norm(
-        toward @ E.T, axis=2, keepdims=True)
-    offsets = np.einsum("jkd,jkd->jk", normals, touch)
+        toward @ E.T, axis=-1, keepdims=True)
+    offsets = np.einsum("...kd,...kd->...k", normals, touch)
     return Halfspaces(normals, offsets)
 
 
@@ -445,13 +456,13 @@ class Metrics:
 
 def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
              avoidance: AvoidanceModel, time_limit: float | None = None,
-             goal_radius: float = 0.2, threads: int = 1) -> SimLog:
+             goal_radius: float = 0.2) -> SimLog:
     """Run the swarm until everyone arrives or the time limit expires.
 
     Each robot tracks the member whose weights reconstruct its start
     position.  Per tick, every robot solves its horizon QP against a
     snapshot of neighbour plans from the previous tick, so results do not
-    depend on robot order (or thread count).
+    depend on robot order.
     """
     starts = np.asarray(starts, dtype=float)
     M, d = starts.shape
@@ -483,50 +494,29 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
 
     # predicted positions per robot, aligned to the *current* tick
     steps = np.arange(N + 1)[:, None] * Ts
-    preds = np.array([starts[i] + steps * states[0, i, d:] for i in range(M)])
-    prev_normals = [[None] * M for _ in range(M)]
+    preds = starts[:, None] + steps * states[0, :, None, d:]
+    # others[i] lists every robot but i, in robot order
+    others = np.arange(M - 1) + (np.arange(M - 1) >= np.arange(M)[:, None])
+    prev_normals = np.full((M, M - 1, d), np.nan)
     warm = [None] * M
     hulls = {}
 
     used = 0
     for tick in range(ticks):
-        windows = [reference_window(refs, i, tick, N) for i in range(M)]
         section_rows = _section_rows(refs, tick, N, hulls)
-
-        def step_robot(i):
-            window = windows[i]
-            others = [j for j in range(M) if j != i]
-            hs = None
-            if others:
-                hs = avoidance_halfspaces(
-                    preds[i], preds[others], avoidance,
-                    [prev_normals[i][j] for j in others])
-            pos_rows = _position_rows(section_rows, window, config)
-            u0, plan, slack, new_warm = mpc_step(
-                states[tick, i], window, hs, horizon, pos_rows, warm[i])
-            new_normals = None
-            if hs is not None:
-                new_normals = {j: hs.normals[a, -1]
-                               for a, j in enumerate(others)}
-            return i, u0, plan, slack, new_normals, new_warm
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(step_robot, range(M)))
-        else:
-            results = [step_robot(i) for i in range(M)]
-
-        for i, u0, plan, slack, new_normals, new_warm in results:
-            warm[i] = new_warm
-            inputs[tick, i] = u0
-            max_slack[tick, i] = slack
-            preds[i] = np.vstack([plan[1:, :d], plan[-1:, :d]])
-            if new_normals:
-                for j, normal in new_normals.items():
-                    prev_normals[i][j] = normal
+        hs = avoidance_halfspaces(preds, preds[others], avoidance,
+                                  prev_normals)
+        prev_normals = hs.normals[:, :, -1]
         for i in range(M):
-            states[tick + 1, i] = (horizon.A @ states[tick, i]
-                                   + horizon.B @ inputs[tick, i])
+            window = reference_window(refs, i, tick, N)
+            pos_rows = _position_rows(section_rows, window, config)
+            inputs[tick, i], plan, max_slack[tick, i], warm[i] = mpc_step(
+                states[tick, i], window,
+                Halfspaces(hs.normals[i], hs.offsets[i]), horizon, pos_rows,
+                warm[i])
+            preds[i] = np.vstack([plan[1:, :d], plan[-1:, :d]])
+        states[tick + 1] = (np.einsum("ij,mj->mi", horizon.A, states[tick])
+                            + np.einsum("ij,mj->mi", horizon.B, inputs[tick]))
         used = tick + 1
         now = (tick + 1) * Ts
         dists = np.linalg.norm(states[tick + 1, :, :d] - goals, axis=1)

@@ -59,25 +59,6 @@ class EqualitySystem:
     b: np.ndarray
     blocks: dict = field(default_factory=dict)
 
-    @property
-    def rows(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass
-class BoundarySpec:
-    """Endpoint derivative targets, orders 1..p (row i is order i + 1)."""
-
-    start_derivs: np.ndarray
-    goal_derivs: np.ndarray
-
-    @staticmethod
-    def rest(continuity: int, dim: int) -> "BoundarySpec":
-        """Rest-to-rest: all endpoint derivatives up to the continuity
-        order are zero."""
-        z = np.zeros((continuity, dim))
-        return BoundarySpec(z, z.copy())
-
 
 @dataclass
 class CostSpec:
@@ -101,14 +82,6 @@ class AffineInequalities:
     def residuals(self, x: np.ndarray) -> np.ndarray:
         return self.G @ x - self.h
 
-    @staticmethod
-    def stack(parts: list) -> "AffineInequalities":
-        parts = [p for p in parts if p is not None and p.rows]
-        if not parts:
-            raise ValueError("nothing to stack")
-        return AffineInequalities(np.vstack([p.G for p in parts]),
-                                  np.concatenate([p.h for p in parts]))
-
 
 def _coef_width(order: int, dim: int) -> int:
     return (order + 1) * dim
@@ -124,16 +97,15 @@ def _place(row_scalar: np.ndarray, seg: int, order: int, dim: int,
 
 
 def assemble_equality(waypoints, knots: KnotVector, order: int,
-                      continuity: int, bounds: BoundarySpec | None = None
-                      ) -> EqualitySystem:
+                      continuity: int) -> EqualitySystem:
     """Interpolation + continuity + endpoint-derivative equalities.
 
     Row blocks, in order:
       continuity: derivatives 0..continuity match across interior knots;
       waypoints: each segment starts at its waypoint, the last also ends
         at the final waypoint;
-      terminal: endpoint derivatives (order continuity down to 1) equal the
-        boundary targets, zero by default (rest to rest).
+      terminal: endpoint derivatives (order continuity down to 1) are
+        zero (rest to rest).
     Raises RankDeficient when the stacked rows are linearly dependent.
     """
     pts = np.asarray(waypoints, dtype=float)
@@ -172,11 +144,10 @@ def assemble_equality(waypoints, knots: KnotVector, order: int,
     blocks = {"continuity": (0, n_cont),
               "waypoints": (n_cont, n_cont + n_way),
               "terminal": (n_cont + n_way, n_cont + n_way + n_term)}
-    return EqualitySystem(A, equality_rhs(pts, continuity, bounds), blocks)
+    return EqualitySystem(A, equality_rhs(pts, continuity), blocks)
 
 
-def equality_rhs(waypoints, continuity: int,
-                 bounds: BoundarySpec | None = None) -> np.ndarray:
+def equality_rhs(waypoints, continuity: int) -> np.ndarray:
     """Right-hand side of ``assemble_equality``'s rows for one path.
 
     The matrix depends only on the knots and the polynomial settings, so
@@ -184,13 +155,8 @@ def equality_rhs(waypoints, continuity: int,
     """
     pts = np.asarray(waypoints, dtype=float)
     m, dim = pts.shape[0] - 1, pts.shape[1]
-    if bounds is None:
-        bounds = BoundarySpec.rest(continuity, dim)
-    parts = [np.zeros((m - 1) * (continuity + 1) * dim), pts.ravel()]
-    for derivs in (bounds.start_derivs, bounds.goal_derivs):
-        parts += [np.asarray(derivs[p - 1], dtype=float)
-                  for p in range(continuity, 0, -1)]
-    return np.concatenate(parts)
+    return np.concatenate([np.zeros((m - 1) * (continuity + 1) * dim),
+                           pts.ravel(), np.zeros(2 * continuity * dim)])
 
 
 def assemble_cost(knots: KnotVector, deriv_order: int, order: int,

@@ -259,7 +259,7 @@ def test_criterion_6_eleven_robots_cross_the_corridor_safely(corridor):
     start = time.perf_counter()
     log = simulate(tube, scenario.robot_starts, scenario.mpc,
                    scenario.avoidance, time_limit=scenario.time_limit,
-                   goal_radius=scenario.goal_radius, threads=2)
+                   goal_radius=scenario.goal_radius)
     wall = time.perf_counter() - start
     metrics = compute_metrics(log, scenario.time_limit, scenario.goal_radius)
     closest = min_pairwise_distance_per_tick(log)
@@ -275,7 +275,7 @@ def test_criterion_7_twenty_robots_fly_the_tetrahedral_tube(tetra):
     assert scenario.robot_starts.shape == (20, 3)
     log = simulate(tube, scenario.robot_starts, scenario.mpc,
                    scenario.avoidance, time_limit=scenario.time_limit,
-                   goal_radius=scenario.goal_radius, threads=2)
+                   goal_radius=scenario.goal_radius)
     metrics = compute_metrics(log, scenario.time_limit, scenario.goal_radius)
     closest = min_pairwise_distance_per_tick(log)
     safety = scenario.avoidance.safety_distance

@@ -151,16 +151,28 @@ def test_bad_member_arguments_exit_2(triangle_tube, tmp_path, capsys,
 def test_simulate_runs_are_byte_identical(triangle_tube, tmp_path, capsys):
     paths = [(tmp_path / f"log{i}.csv", tmp_path / f"metrics{i}.json")
              for i in range(2)]
-    for log, metrics in paths:
+    # the only accepted --threads value is the default
+    for (log, metrics), threads in zip(paths, ([], ["--threads", "1"])):
         code = main(["simulate", "--scenario", TRIANGLE,
                      "--tube", str(triangle_tube), "--out", str(log),
-                     "--metrics", str(metrics), "--threads", "2"])
+                     "--metrics", str(metrics)] + threads)
         assert code == 0
         assert "arrival_rate=1.000" in capsys.readouterr().out
     assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
     assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
     doc = json.loads(paths[0][1].read_text(encoding="utf-8"))
     assert doc["arrival_rate"] == 1.0
+
+
+@pytest.mark.parametrize("threads", ["2", "0", "4"])
+def test_simulate_threads_other_than_1_exit_2(triangle_tube, tmp_path,
+                                              capsys, threads):
+    log = tmp_path / "log.csv"
+    assert main(["simulate", "--scenario", TRIANGLE,
+                 "--tube", str(triangle_tube), "--out", str(log),
+                 "--threads", threads]) == 2
+    assert "argument --threads: invalid choice" in capsys.readouterr().err
+    assert not log.exists()
 
 
 def test_missing_file_exits_5(tmp_path, capsys):

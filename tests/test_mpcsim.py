@@ -185,10 +185,10 @@ def test_avoidance_coincident_center_fallbacks():
     model = AvoidanceModel(axes=np.array([0.5, 0.5]))
     with pytest.raises(CoincidentCenters):
         avoidance_halfspaces(np.zeros((2, 2)), np.zeros((2, 2)), model,
-                             [None])
+                             np.full((1, 2), np.nan))
     # previous-tick normal carries over
     hs = avoidance_halfspaces(np.zeros((2, 2)), np.zeros((2, 2)), model,
-                              [np.array([0.0, 1.0])])
+                              np.array([[0.0, 1.0]]))
     assert np.allclose(hs.normals[0], [0.0, 1.0])
     assert np.allclose(hs.offsets[0], 1.0)
     # previous-step normal inside the same call carries over too
@@ -205,7 +205,7 @@ def test_avoidance_coincident_center_fallbacks():
     neighbors = self_pred + rng.normal(size=(3, 4, 2))
     neighbors[0, :2] = self_pred[:2]
     neighbors[1, 2] = self_pred[2]
-    prev = [np.array([0.6, 0.8]), None, None]
+    prev = np.array([[0.6, 0.8], [np.nan, np.nan], [np.nan, np.nan]])
     hs = avoidance_halfspaces(self_pred, neighbors, model, prev)
     assert np.allclose(hs.normals[0, :2], [0.6, 0.8])
     assert np.allclose(hs.normals[1, 2], hs.normals[1, 1])
@@ -216,6 +216,31 @@ def test_avoidance_coincident_center_fallbacks():
     neighbors[1, 0] = self_pred[0]
     with pytest.raises(CoincidentCenters, match="neighbour 1 "):
         avoidance_halfspaces(self_pred, neighbors, model, prev)
+    # every ordered pair of a swarm in one call, as simulate makes it:
+    # robots 0 and 1 coincide at steps 0-1 (previous tick), 2 and 3 at
+    # step 2 (previous step); every other previous normal is missing
+    M = 4
+    preds = 2.0 * rng.normal(size=(M, 4, 2))
+    preds[1, :2] = preds[0, :2]
+    preds[3, 2] = preds[2, 2]
+    others = [[j for j in range(M) if j != i] for i in range(M)]
+    prev = np.full((M, M - 1, 2), np.nan)
+    prev[0, 0] = [0.6, 0.8]
+    prev[1, 0] = [-0.6, -0.8]
+    hs = avoidance_halfspaces(preds, preds[others], model, prev)
+    assert hs.normals.shape == (M, M - 1, 4, 2)
+    assert hs.offsets.shape == (M, M - 1, 4)
+    assert np.allclose(hs.normals[1, 0, :2], [-0.6, -0.8])
+    for i in range(M):
+        normals, offsets = _halfspaces_by_loop(preds[i], preds[others[i]],
+                                               model, prev[i])
+        assert np.abs(hs.normals[i] - normals).max() <= 1e-12
+        assert np.abs(hs.offsets[i] - offsets).max() <= 1e-12
+    # a batched call names the pair left without any fallback
+    prev[1, 0] = np.nan
+    with pytest.raises(CoincidentCenters,
+                       match=r"neighbour 0 .* \(batch index \[1\]\)"):
+        avoidance_halfspaces(preds, preds[others], model, prev)
 
 
 def test_hull_inequalities_square_and_degenerate():
@@ -462,17 +487,16 @@ def test_simulate_single_robot_arrives():
     assert log.max_slack.max() == pytest.approx(0.0, abs=1e-9)
 
 
-def test_simulate_thread_count_does_not_change_results():
+def test_simulate_repeat_runs_are_identical():
     tube = straight_pair_tube()
     config = MpcConfig()
     avoidance = AvoidanceModel(axes=np.array([0.3, 0.3]))
     starts = [[0.0, 0.2], [0.0, 0.8]]
-    a = simulate(tube, starts, config, avoidance, time_limit=8.0,
-                 goal_radius=0.2, threads=1)
-    b = simulate(tube, starts, config, avoidance, time_limit=8.0,
-                 goal_radius=0.2, threads=3)
+    a, b = (simulate(tube, starts, config, avoidance, time_limit=8.0,
+                     goal_radius=0.2) for _ in range(2))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.inputs, b.inputs)
+    assert np.array_equal(a.max_slack, b.max_slack)
     assert np.array_equal(a.arrival_times, b.arrival_times)
 
 

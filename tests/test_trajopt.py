@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tubeplan.knots import KnotVector
-from tubeplan.trajopt import (_kkt_solve, AffineInequalities, BoundarySpec, CorridorSpec,
+from tubeplan.trajopt import (_kkt_solve, AffineInequalities, CorridorSpec,
                               CostSpec, EqualitySystem, Infeasible,
                               OutOfDomain, PiecewisePolynomial, RankDeficient,
                               assemble_cost, assemble_equality, basis_row,
@@ -78,17 +78,6 @@ def test_equality_block_layout():
     assert np.allclose(system.b[lo:hi], [0.0, 1.0, 0.5])
     assert np.allclose(system.b[:lo], 0.0)
     assert np.allclose(system.b[hi:], 0.0)
-
-
-def test_equality_custom_boundary_rhs():
-    kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
-    pts = np.array([[0.0], [1.0], [0.5]])
-    bounds = BoundarySpec(start_derivs=[np.array([2.0]), np.array([-1.0])],
-                          goal_derivs=[np.array([3.0]), np.array([4.0])])
-    system = assemble_equality(pts, kv, 5, 2, bounds)
-    lo, hi = system.blocks["terminal"]
-    # derivative order runs continuity..1 at the start, then at the goal
-    assert np.allclose(system.b[lo:hi], [-1.0, 2.0, 4.0, 3.0])
 
 
 def test_equality_rejects_dependent_rows():
