@@ -14,8 +14,8 @@ import numpy as np
 from .geometry import (DegenerateTerminal, PointOutsideHull, SizeMismatch,
                        TooManyVertices, assign_vertices, equispaced_weights)
 from .knots import LengthMismatch, ZeroChord, ZeroLength
-from .mpcsim import (CoincidentCenters, StartOutsideTerminal, compute_metrics,
-                     simulate)
+from .mpcsim import (CoincidentCenters, StartOutsideTerminal,
+                     UnrunnableSettings, compute_metrics, simulate)
 from .pathfinder import (HomotopyCheckFailed, InvalidEndpoints, NoPathFound,
                          TooFewSegments)
 from .scenario_io import (IoError, ParseError, Scenario, ValidationError,
@@ -29,7 +29,7 @@ from .tube import (InvalidWeights, build_tube, check_weights,
 _VALIDATION_ERRORS = (ParseError, ValidationError, VersionError,
                       DegenerateTerminal, PointOutsideHull, SizeMismatch,
                       TooManyVertices, InvalidWeights, InvalidEndpoints,
-                      LengthMismatch, ZeroLength)
+                      LengthMismatch, ZeroLength, UnrunnableSettings)
 _PLANNING_ERRORS = (NoPathFound, HomotopyCheckFailed, TooFewSegments,
                     RankDeficient, Infeasible, MaxIterations, ZeroChord,
                     CoincidentCenters, StartOutsideTerminal, OutOfDomain)

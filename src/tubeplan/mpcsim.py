@@ -47,6 +47,7 @@ from .tube import OptimalVirtualTube, check_weights
 
 # distance-to-facet threshold separating interior from boundary robots
 _BOUNDARY_TOL = 1e-6
+MAX_TICKS = 10**6  # the longest run simulate accepts
 
 
 class CoincidentCenters(RuntimeError):
@@ -55,6 +56,10 @@ class CoincidentCenters(RuntimeError):
 
 class StartOutsideTerminal(ValueError):
     """A robot start position is not inside the start terminal hull."""
+
+
+class UnrunnableSettings(ValueError):
+    """The run settings ask for too many ticks or overflow the reference."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,20 @@ class MpcConfig:
     input_limit: float = 100.0
     reference_speed: float = 2.5
 
+    def __post_init__(self):
+        # the position at step 1 depends on no input of the double
+        # integrator, so a horizon of 1 constrains no controlled position
+        rules = [(self.horizon >= 2, "horizon must be at least 2")]
+        rules += [(getattr(self, f) > 0, f"{f} must be positive") for f in (
+            "timestep", "slack_weight", "boundary_tolerance", "input_limit",
+            "reference_speed")]
+        rules += [(getattr(self, f) >= 0, f"{f} must be nonnegative")
+                  for f in ("position_weight", "velocity_weight",
+                            "input_weight", "terminal_weight_scale")]
+        for ok, rule in rules:
+            if not ok:
+                raise ValueError(rule)
+
 
 @dataclass(frozen=True)
 class AvoidanceModel:
@@ -128,11 +147,14 @@ class AvoidanceModel:
     safety_distance: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", np.asarray(self.axes, dtype=float))
-
-    def minkowski_scaling(self) -> np.ndarray:
-        """E such that the pair obstacle is { p : ||E (p - c)|| <= 1 }."""
-        return np.diag(1.0 / (2.0 * self.axes))
+        axes = np.asarray(self.axes, dtype=float)
+        object.__setattr__(self, "axes", axes)
+        for ok, rule in (
+                (axes.ndim == 1 and np.all((axes > 0) & np.isfinite(axes)),
+                 "axes must be positive and finite"),
+                (self.safety_distance > 0, "safety_distance must be positive")):
+            if not ok:
+                raise ValueError(rule)
 
 
 @dataclass
@@ -181,9 +203,14 @@ def reference_grid(basis_x: np.ndarray, knots: KnotVector, order: int,
     member = [np.tensordot(thetas, b, 1) for b in basis]
     rate = scaling.rate
     moving = (params < 1.0)[:, None]
-    states = np.concatenate(
-        [member[0], np.where(moving, member[1] * rate, 0.0)], axis=2)
-    inputs = np.where(moving, member[2] * (rate * rate), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = np.concatenate(
+            [member[0], np.where(moving, member[1] * rate, 0.0)], axis=2)
+        inputs = np.where(moving, member[2] * (rate * rate), 0.0)
+    if not (np.isfinite(states).all() and np.isfinite(inputs).all()):
+        raise UnrunnableSettings(
+            f"the reference overflows at {scaling.speed:g} m/s; lower "
+            f"controller.reference_speed")
     return ReferenceGrid(basis[0], states, inputs, params)
 
 
@@ -226,12 +253,18 @@ def avoidance_halfspaces(self_pred: np.ndarray, neighbor_preds: np.ndarray,
     if neighbor_preds.ndim == self_pred.ndim:
         neighbor_preds = neighbor_preds[..., None, :, :]
     n = neighbor_preds.shape[-2]
-    E = model.minkowski_scaling()
+    # W = 2**k E with the power of two that brings W's largest entry near
+    # 1, so that E.T @ E cannot overflow on tiny axes; scaling by a power
+    # of two is exact, so the rows equal those computed with E itself
+    k = np.frexp(model.axes.min())[1]
+    W = np.diag(np.ldexp(0.5, k) / model.axes)
     r = self_pred[..., None, :, :] - neighbor_preds       # (..., J, n, d)
-    apart = np.linalg.norm(r @ E.T, axis=-1) >= 1e-9
-    grad = r @ (E.T @ E)
-    normals = np.divide(grad, np.linalg.norm(grad, axis=-1, keepdims=True),
-                        out=np.zeros_like(grad), where=apart[..., None])
+    grad = r @ (W.T @ W)
+    length = np.linalg.norm(grad, axis=-1, keepdims=True)
+    apart = ((np.linalg.norm(r @ W.T, axis=-1) >= np.ldexp(1e-9, k))
+             & (length[..., 0] > 0))
+    normals = np.divide(grad, length, out=np.zeros_like(grad),
+                        where=apart[..., None])
     # a coincident step reuses the normal of the latest distinct step
     source = np.maximum.accumulate(np.where(apart, np.arange(n), -1),
                                    axis=-1)
@@ -252,8 +285,8 @@ def avoidance_halfspaces(self_pred: np.ndarray, neighbor_preds: np.ndarray,
                        normals)
     # the exit point along r, or along the reused normal when r vanishes
     toward = np.where(apart[..., None], r, normals)
-    touch = neighbor_preds + toward / np.linalg.norm(
-        toward @ E.T, axis=-1, keepdims=True)
+    touch = neighbor_preds + np.ldexp(toward / np.linalg.norm(
+        toward @ W.T, axis=-1, keepdims=True), k)
     offsets = np.einsum("...kd,...kd->...k", normals, touch)
     return Halfspaces(normals, offsets)
 
@@ -462,8 +495,21 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     Each robot tracks the member whose weights reconstruct its start
     position.  Per tick, every robot solves its horizon QP against a
     snapshot of neighbour plans from the previous tick, so results do not
-    depend on robot order.
+    depend on robot order.  A run of more than MAX_TICKS ticks is refused
+    before anything is allocated.
     """
+    scaling = TimeScaling(tube.chord_total, config.reference_speed)
+    if time_limit is None:
+        time_limit = 3.0 * scaling.duration
+    Ts = config.timestep
+    N = config.horizon
+    ticks = np.floor(time_limit / Ts + 1e-9)
+    if not ticks <= MAX_TICKS:
+        raise UnrunnableSettings(
+            f"a run of {time_limit:g} s in steps of {Ts:g} s takes "
+            f"{ticks:.3g} ticks, more than {MAX_TICKS}; lower time_limit or "
+            f"raise controller.timestep")
+    ticks = int(ticks)
     starts = np.asarray(starts, dtype=float)
     M, d = starts.shape
     thetas = np.zeros((M, tube.count))
@@ -476,12 +522,6 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     order = tube.config.order
     goals = np.tensordot(
         thetas, evaluate_grid(tube.basis_x, tube.knots, order, 1.0), 1)[:, 0]
-    scaling = TimeScaling(tube.chord_total, config.reference_speed)
-    if time_limit is None:
-        time_limit = 3.0 * scaling.duration
-    Ts = config.timestep
-    N = config.horizon
-    ticks = int(np.floor(time_limit / Ts + 1e-9))
     horizon = horizon_qp(config, d, N)
     refs = reference_grid(tube.basis_x, tube.knots, order, thetas, scaling,
                           ticks + N + 1, Ts)

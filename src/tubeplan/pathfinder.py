@@ -96,6 +96,18 @@ class RrtConfig:
     corridor_shrink_radius: float = 3.0
     rng_seed: int = 0
 
+    def __post_init__(self):
+        for ok, rule in (
+                (self.max_iterations >= 1, "max_iterations must be at least 1"),
+                (self.step_size > 0, "step_size must be positive"),
+                (0.0 <= self.goal_bias < 1.0, "goal_bias must be in [0, 1)"),
+                (self.rewire_radius > 0, "rewire_radius must be positive"),
+                (self.corridor_shrink_radius > 0,
+                 "corridor_shrink_radius must be positive"),
+                (self.rng_seed >= 0, "rng_seed must be nonnegative")):
+            if not ok:
+                raise ValueError(rule)
+
 
 class _PolylineRegion:
     """Union of balls of a fixed radius around a polyline."""

@@ -1,12 +1,13 @@
 """Scenario files, tube serialization, and simulation output writers.
 
 Scenarios are strict JSON: numbers must be JSON numbers (never strings or
-booleans), unknown schema versions are rejected, and every default is
-materialized on load so the in-memory scenario is fully explicit.  Tubes
-round-trip through JSON exactly: floats are written with repr precision
-(17 significant digits), which is bit-faithful for IEEE doubles.
-``TrajectoryConfig`` checks the trajectory settings of both documents, and
-``tube.tube_structure`` rebuilds a loaded tube's structure as planning does.
+booleans), and unknown schema versions and keys are rejected.  One key
+table per settings class maps a scenario key to its field and parser; an
+absent key keeps the field's default, and each check lives in its class.
+README's "Scenario documents" lists every key.  Tubes round-trip through
+JSON exactly: floats are written with repr precision (17 significant
+digits), which is bit-faithful for IEEE doubles.  ``tube.tube_structure``
+rebuilds a loaded tube's structure as planning does.
 """
 
 import csv
@@ -110,6 +111,12 @@ def _integer(val, path):
     return int(val)
 
 
+def _numbers(val, path):
+    if not isinstance(val, list):
+        raise ValidationError(f"{path}: expected a list of numbers")
+    return np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(val)])
+
+
 def _points(val, path, dim):
     if not isinstance(val, list) or not val:
         raise ValidationError(f"{path}: expected a non-empty list of points")
@@ -122,11 +129,91 @@ def _points(val, path, dim):
     return np.array(out)
 
 
-def _section(doc, key):
-    val = doc.get(key, {})
-    if not isinstance(val, dict):
-        raise ValidationError(f"{key}: expected an object")
-    return val
+# One key table per settings class: scenario key -> (field, parser).  A
+# TrajectoryConfig field is also its key in a tube document.
+_RRT_KEYS = {
+    "rng_seed": ("rng_seed", _integer),
+    "planner.rrt.max_iterations": ("max_iterations", _integer),
+    "planner.rrt.step_size": ("step_size", _number),
+    "planner.rrt.goal_bias": ("goal_bias", _number),
+    "planner.rrt.rewire_radius": ("rewire_radius", _number),
+    "planner.rrt.corridor_shrink_radius": ("corridor_shrink_radius", _number),
+}
+_TRAJECTORY_KEYS = {
+    "planner.polynomial.order": ("order", _integer),
+    "planner.polynomial.cost_derivative": ("cost_derivative", _integer),
+    "planner.polynomial.continuity": ("continuity", _integer),
+    "planner.segments": ("segments", _integer),
+    "planner.corridor.width": ("corridor_width", _number),
+    "planner.corridor.samples_per_segment": ("corridor_samples", _integer),
+    "planner.corridor.mode": ("corridor_mode", lambda val, path: val),
+}
+_MPC_KEYS = {
+    "controller.horizon": ("horizon", _integer),
+    "controller.timestep": ("timestep", _number),
+    "controller.position_weight": ("position_weight", _number),
+    "controller.velocity_weight": ("velocity_weight", _number),
+    "controller.input_weight": ("input_weight", _number),
+    "controller.slack_weight": ("slack_weight", _number),
+    "controller.terminal_weight_scale": ("terminal_weight_scale", _number),
+    "controller.boundary_tolerance": ("boundary_tolerance", _number),
+    "controller.input_limit": ("input_limit", _number),
+    "controller.reference_speed": ("reference_speed", _number),
+}
+_AVOIDANCE_KEYS = {
+    "controller.avoidance.ellipse_axes": ("axes", _numbers),
+    "controller.avoidance.safety_distance": ("safety_distance", _number),
+}
+# every key of a scenario: the tables' and those load_scenario reads
+# itself; "[]" stands for the items of a list
+SCENARIO_KEYS = frozenset((
+    "schema_version", "dimension", "obstacles.inflation", "obstacles.boxes",
+    "obstacles.boxes[].min", "obstacles.boxes[].max", "start_terminal",
+    "goal_terminal", "robots", "robots.count", "planner.variance_weight",
+    "time_limit", "goal_radius")).union(
+        _RRT_KEYS, _TRAJECTORY_KEYS, _MPC_KEYS, _AVOIDANCE_KEYS)
+# the objects that hold keys, outside lists; "" is the top level
+_SECTIONS = sorted({""} | {key[:i] for key in SCENARIO_KEYS
+                           for i, c in enumerate(key)
+                           if c == "." and "[" not in key[:i]})
+_ABSENT = object()
+
+
+def _get(doc, path, default=_ABSENT):
+    """The value at a dotted path, or default when its key is absent (the
+    sections on the way are objects: load_scenario checks them first)."""
+    *sections, key = path.split(".")
+    for section in sections:
+        doc = doc.get(section, {})
+    return doc.get(key, default)
+
+
+def _known_keys(obj: dict, name: str, path: str) -> None:
+    """Reject the first key of the object at path (name: path without
+    list indices) that SCENARIO_KEYS does not hold."""
+    for key in obj:
+        known = f"{name}.{key}" if name else key
+        if known not in SCENARIO_KEYS and known not in _SECTIONS:
+            raise ValidationError(
+                f"{f'{path}.{key}' if path else key}: unknown key")
+
+
+def _settings(cls, doc, table, **defaults):
+    """A cls from the keys of table that doc holds, over defaults (an
+    absent key keeps its default here, else the class's own).  A failed
+    check, whose message begins with its field, becomes a ValidationError
+    that names the field's key instead."""
+    values = dict(defaults)
+    for path, (field, parse) in table.items():
+        val = _get(doc, path)
+        if val is not _ABSENT:
+            values[field] = parse(val, path)
+    try:
+        return cls(**values)
+    except ValueError as err:
+        field, _, rule = str(err).partition(" ")
+        keys = {field: path for path, (field, _) in table.items()}
+        raise ValidationError(f"{keys.get(field, field)} {rule}") from err
 
 
 @dataclass
@@ -134,7 +221,6 @@ class Scenario:
     """A fully materialized planning + simulation problem."""
 
     dim: int
-    rng_seed: int
     obstacles: ObstacleSet
     start_terminal: Terminal
     goal_terminal: Terminal
@@ -167,25 +253,29 @@ def _hulls_intersect(U: np.ndarray, W: np.ndarray) -> bool:
 def load_scenario(path) -> Scenario:
     """Parse, validate, and materialize a scenario file."""
     doc = _read_document(path, SCHEMA_VERSION)
-    dim = _integer(doc.get("dimension", 2), "dimension")
+    for section in _SECTIONS:     # a section comes before its subsections
+        obj = _get(doc, section, {}) if section else doc
+        if isinstance(obj, dict):
+            _known_keys(obj, section, section)
+        elif section != "robots":    # robots may also be a list of points
+            raise ValidationError(f"{section}: expected an object")
+    dim = _integer(_get(doc, "dimension", 2), "dimension")
     if dim not in (2, 3):
         raise ValidationError("dimension must be 2 or 3")
-    rng_seed = _integer(doc.get("rng_seed", 0), "rng_seed")
-    if rng_seed < 0:
-        raise ValidationError("rng_seed must be nonnegative")
 
-    obs_doc = _section(doc, "obstacles")
-    inflation = _number(obs_doc.get("inflation", 0.0), "obstacles.inflation")
+    inflation = _number(_get(doc, "obstacles.inflation", 0.0),
+                        "obstacles.inflation")
     if inflation < 0:
         raise ValidationError("obstacles.inflation must be nonnegative")
     boxes = []
-    raw_boxes = obs_doc.get("boxes", [])
+    raw_boxes = _get(doc, "obstacles.boxes", [])
     if not isinstance(raw_boxes, list):
         raise ValidationError("obstacles.boxes: expected a list")
     for i, box in enumerate(raw_boxes):
         if not isinstance(box, dict) or "min" not in box or "max" not in box:
             raise ValidationError(
                 f"obstacles.boxes[{i}]: expected an object with min and max")
+        _known_keys(box, "obstacles.boxes[]", f"obstacles.boxes[{i}]")
         lo = _points([box["min"]], f"obstacles.boxes[{i}].min", dim)[0]
         hi = _points([box["max"]], f"obstacles.boxes[{i}].max", dim)[0]
         if np.any(hi <= lo):
@@ -231,116 +321,34 @@ def load_scenario(path) -> Scenario:
             if np.linalg.norm(robot_starts[i] - robot_starts[j]) < 1e-9:
                 raise ValidationError(f"robots[{i}] and robots[{j}] coincide")
 
-    planner = _section(doc, "planner")
-    variance_weight = _number(planner.get("variance_weight", 1.0),
+    variance_weight = _number(_get(doc, "planner.variance_weight", 1.0),
                               "planner.variance_weight")
-    rrt_doc = _section(planner, "rrt")
-    rrt = RrtConfig(
-        max_iterations=_integer(rrt_doc.get("max_iterations", 4000),
-                                "planner.rrt.max_iterations"),
-        step_size=_number(rrt_doc.get("step_size", 1.0),
-                          "planner.rrt.step_size"),
-        goal_bias=_number(rrt_doc.get("goal_bias", 0.1),
-                          "planner.rrt.goal_bias"),
-        rewire_radius=_number(rrt_doc.get("rewire_radius", 3.0),
-                              "planner.rrt.rewire_radius"),
-        corridor_shrink_radius=_number(
-            rrt_doc.get("corridor_shrink_radius", 3.0),
-            "planner.rrt.corridor_shrink_radius"),
-        rng_seed=rng_seed)
-    if rrt.max_iterations < 1 or rrt.step_size <= 0:
-        raise ValidationError("planner.rrt: iterations and step must be positive")
-    if not 0.0 <= rrt.goal_bias < 1.0:
-        raise ValidationError("planner.rrt.goal_bias must be in [0, 1)")
-
-    poly = _section(planner, "polynomial")
-    corridor = _section(planner, "corridor")
-    settings = dict(
-        order=_integer(poly.get("order", 5), "planner.polynomial.order"),
-        cost_deriv=_integer(poly.get("cost_derivative", 3),
-                            "planner.polynomial.cost_derivative"),
-        continuity=_integer(poly.get("continuity", 3),
-                            "planner.polynomial.continuity"),
-        m_target=_integer(planner.get("segments", 7), "planner.segments"),
-        corridor_width=_number(corridor.get("width", 1.0),
-                               "planner.corridor.width"),
-        corridor_samples=_integer(corridor.get("samples_per_segment", 3),
-                                  "planner.corridor.samples_per_segment"),
-        corridor_mode=corridor.get("mode", "strict"))
-    try:
-        traj = TrajectoryConfig(**settings)
-    except ValueError as err:
-        raise ValidationError(f"planner: {err}") from err
-
-    controller = _section(doc, "controller")
-    mpc = MpcConfig(
-        horizon=_integer(controller.get("horizon", 10), "controller.horizon"),
-        timestep=_number(controller.get("timestep", 0.1),
-                         "controller.timestep"),
-        position_weight=_number(controller.get("position_weight", 10.0),
-                                "controller.position_weight"),
-        velocity_weight=_number(controller.get("velocity_weight", 1.0),
-                                "controller.velocity_weight"),
-        input_weight=_number(controller.get("input_weight", 0.1),
-                             "controller.input_weight"),
-        slack_weight=_number(controller.get("slack_weight", 1000.0),
-                             "controller.slack_weight"),
-        terminal_weight_scale=_number(
-            controller.get("terminal_weight_scale", 10.0),
-            "controller.terminal_weight_scale"),
-        boundary_tolerance=_number(
-            controller.get("boundary_tolerance", 0.5),
-            "controller.boundary_tolerance"),
-        input_limit=_number(controller.get("input_limit", 100.0),
-                            "controller.input_limit"),
-        reference_speed=_number(controller.get("reference_speed", 2.5),
-                                "controller.reference_speed"))
-    if mpc.horizon < 1 or mpc.timestep <= 0 or mpc.reference_speed <= 0:
-        raise ValidationError("controller: horizon, timestep, and "
-                              "reference_speed must be positive")
-
-    avoid_doc = _section(controller, "avoidance")
-    axes_raw = avoid_doc.get("ellipse_axes", [0.5] * dim)
-    if not isinstance(axes_raw, list) or len(axes_raw) != dim:
+    if variance_weight < 0:
+        raise ValidationError("planner.variance_weight must be nonnegative")
+    rrt = _settings(RrtConfig, doc, _RRT_KEYS)
+    traj = _settings(TrajectoryConfig, doc, _TRAJECTORY_KEYS)
+    mpc = _settings(MpcConfig, doc, _MPC_KEYS)
+    # the one default that depends on the dimension
+    avoidance = _settings(AvoidanceModel, doc, _AVOIDANCE_KEYS,
+                          axes=np.full(dim, 0.5))
+    if avoidance.axes.shape != (dim,):
         raise ValidationError(
             f"controller.avoidance.ellipse_axes: expected {dim} entries")
-    axes = np.array([_number(a, f"controller.avoidance.ellipse_axes[{i}]")
-                     for i, a in enumerate(axes_raw)])
-    if np.any(axes <= 0):
-        raise ValidationError("controller.avoidance.ellipse_axes must be "
-                              "positive")
-    avoidance = AvoidanceModel(
-        axes=axes,
-        safety_distance=_number(avoid_doc.get("safety_distance", 1.0),
-                                "controller.avoidance.safety_distance"))
-
-    time_limit = doc.get("time_limit")
+    time_limit = _get(doc, "time_limit", None)
     if time_limit is not None:
         time_limit = _number(time_limit, "time_limit")
         if time_limit < 0:
             raise ValidationError("time_limit must be nonnegative")
-    goal_radius = _number(doc.get("goal_radius", 0.2), "goal_radius")
+    goal_radius = _number(_get(doc, "goal_radius", 0.2), "goal_radius")
     if goal_radius <= 0:
         raise ValidationError("goal_radius must be positive")
 
-    return Scenario(dim=dim, rng_seed=rng_seed, obstacles=obstacles,
+    return Scenario(dim=dim, obstacles=obstacles,
                     start_terminal=start_terminal,
                     goal_terminal=goal_terminal, robot_starts=robot_starts,
                     variance_weight=variance_weight, rrt=rrt, traj=traj,
                     mpc=mpc, avoidance=avoidance, time_limit=time_limit,
                     goal_radius=goal_radius)
-
-
-# tube document "config" key -> (TrajectoryConfig field, parser)
-_TUBE_CONFIG = {
-    "order": ("order", _integer),
-    "cost_derivative": ("cost_deriv", _integer),
-    "continuity": ("continuity", _integer),
-    "segments": ("m_target", _integer),
-    "corridor_width": ("corridor_width", _number),
-    "corridor_samples": ("corridor_samples", _integer),
-    "corridor_mode": ("corridor_mode", lambda val, path: val),
-}
 
 
 def save_tube(tube: OptimalVirtualTube, path) -> None:
@@ -350,8 +358,8 @@ def save_tube(tube: OptimalVirtualTube, path) -> None:
         "schema_version": TUBE_SCHEMA_VERSION,
         "kind": "virtual-tube",
         "dimension": tube.dim,
-        "config": {key: getattr(cfg, field)
-                   for key, (field, _) in _TUBE_CONFIG.items()},
+        "config": {field: getattr(cfg, field)
+                   for field, _ in _TRAJECTORY_KEYS.values()},
         "knots": tube.knots.u.tolist(),
         "chord_total": tube.chord_total,
         "start_vertices": tube.pairs.starts.vertices.tolist(),
@@ -381,8 +389,8 @@ def load_tube(path) -> OptimalVirtualTube:
     try:
         dim = _integer(doc["dimension"], "dimension")
         cfg = TrajectoryConfig(**{
-            field: parse(doc["config"][key], f"config.{key}")
-            for key, (field, parse) in _TUBE_CONFIG.items()})
+            field: parse(doc["config"][field], f"config.{field}")
+            for field, parse in _TRAJECTORY_KEYS.values()})
         knots = KnotVector(np.array(doc["knots"], dtype=float),
                            normalized=True)
         chord_total = _number(doc["chord_total"], "chord_total")
@@ -405,8 +413,8 @@ def load_tube(path) -> OptimalVirtualTube:
             f"vertices and {waypoints.shape[2]}-D waypoints")
     if chord_total <= 0:
         raise ValidationError("chord_total must be positive")
-    if knots.segments != cfg.m_target:
-        raise ValidationError(f"config.segments is {cfg.m_target}, but the "
+    if knots.segments != cfg.segments:
+        raise ValidationError(f"config.segments is {cfg.segments}, but the "
                               f"knots span {knots.segments} segments")
     try:
         systems, cost, corridor = tube_structure(waypoints, knots, cfg)

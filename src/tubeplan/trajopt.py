@@ -351,7 +351,7 @@ def solve_qp(cost: CostSpec, eq: EqualitySystem,
                 continue
             if working:
                 raise Infeasible(
-                    "active corridor row dependent on existing constraints; "
+                    "active inequality row dependent on existing constraints; "
                     "no feasible point") from None
             raise
         lam = lam_all[:A.shape[0]]

@@ -36,14 +36,14 @@ class InvalidWeights(ValueError):
 class TrajectoryConfig:
     """Polynomial, equalization, and corridor settings for a tube build.
 
-    Every check on these settings lives here; scenario and tube loaders
-    turn the ValueError into a validation error.
+    Every check on these settings lives here, and each message begins
+    with the field it checks; a field is also its key in a tube document.
     """
 
     order: int = 5
-    cost_deriv: int = 3
+    cost_derivative: int = 3
     continuity: int = 3
-    m_target: int = 7
+    segments: int = 7
     corridor_width: float = 1.0
     corridor_samples: int = 3
     corridor_mode: str = "strict"
@@ -51,16 +51,16 @@ class TrajectoryConfig:
     def __post_init__(self):
         for ok, rule in (
                 (self.order >= 1, "order must be at least 1"),
-                (1 <= self.cost_deriv <= self.order,
-                 "cost derivative must be in [1, order]"),
+                (1 <= self.cost_derivative <= self.order,
+                 "cost_derivative must be in [1, order]"),
                 (0 <= self.continuity <= self.order,
                  "continuity must be in [0, order]"),
-                (self.m_target >= 1, "segments must be at least 1"),
-                (self.corridor_width > 0, "corridor width must be positive"),
+                (self.segments >= 1, "segments must be at least 1"),
+                (self.corridor_width > 0, "corridor_width must be positive"),
                 (self.corridor_samples >= 1,
-                 "corridor samples must be at least 1"),
+                 "corridor_samples must be at least 1"),
                 (self.corridor_mode in CORRIDOR_MODES,
-                 f"corridor mode must be one of {CORRIDOR_MODES}")):
+                 f"corridor_mode must be one of {CORRIDOR_MODES}")):
             if not ok:
                 raise ValueError(rule)
 
@@ -135,7 +135,7 @@ def tube_structure(waypoints: np.ndarray, knots: KnotVector,
                                config.continuity)
     systems = [EqualitySystem(shared.A, equality_rhs(p, config.continuity),
                               shared.blocks) for p in waypoints]
-    cost = assemble_cost(knots, config.cost_deriv, config.order,
+    cost = assemble_cost(knots, config.cost_derivative, config.order,
                          waypoints.shape[2])
     if config.corridor_mode == "none":
         return systems, cost, None
@@ -185,7 +185,7 @@ def build_tube(pairs: OrderPairSet, obstacles: ObstacleSet,
                ) -> OptimalVirtualTube:
     """Plan q homotopic paths, equalize them, and solve the basis QPs."""
     paths = find_homotopic_paths(pairs, obstacles, rrt_config)
-    paths = equalize_waypoints(paths, traj_config.m_target)
+    paths = equalize_waypoints(paths, traj_config.segments)
     return tube_from_waypoints(pairs, paths, traj_config)
 
 

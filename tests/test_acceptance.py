@@ -85,7 +85,7 @@ def straight_tube(segments, length=0.2, gap=0.04):
     waypoints = np.array(
         [np.column_stack([xs, np.full(segments + 1, -gap / 2)]),
          np.column_stack([xs, np.full(segments + 1, gap / 2)])])
-    config = TrajectoryConfig(m_target=segments, corridor_width=gap)
+    config = TrajectoryConfig(segments=segments, corridor_width=gap)
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
     return tube_from_waypoints(pairs, waypoints, config)
@@ -151,7 +151,7 @@ def test_criterion_1_interior_members_match_direct_solves(corridor,
                                                           interior_members):
     _, tube = corridor
     assert tube.count == 2 and tube.dim == 2
-    assert tube.config.order == 5 and tube.config.m_target >= 5
+    assert tube.config.order == 5 and tube.config.segments >= 5
     worst_coeff, worst_obj, elapsed = interior_members
     report(1, worst_coeff <= 1e-6 and worst_obj <= 1e-8 and elapsed < 10.0,
            f"9+99 interior members: max coeff err {worst_coeff:.2e} "

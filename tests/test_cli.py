@@ -209,3 +209,48 @@ def test_blocked_scenario_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "t.json")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def _triangle_with(tmp_path, section, key, value):
+    """The triangle scenario with one controller or top-level key set."""
+    doc = json.loads(open(TRIANGLE, encoding="utf-8").read())
+    owner = doc
+    for name in section:
+        owner = owner[name]
+    owner[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+# each of these ended in a NumPy traceback or an overflow warning before
+# simulate refused them
+@pytest.mark.parametrize("section, key, value, message", [
+    (["controller"], "timestep", 1e-300, "2e+301 ticks, more than 1000000"),
+    ([], "time_limit", 1e300, "1e+301 ticks, more than 1000000"),
+    (["controller"], "reference_speed", 1e300,
+     "lower controller.reference_speed")])
+def test_extreme_run_settings_exit_2(triangle_tube, tmp_path, capsys, section,
+                                     key, value, message):
+    scenario = _triangle_with(tmp_path, section, key, value)
+    code = main(["simulate", "--scenario", str(scenario),
+                 "--tube", str(triangle_tube)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_tiny_ellipse_axes_simulate_without_overflow(triangle_tube, tmp_path,
+                                                     capsys):
+    scenario = _triangle_with(tmp_path, ["controller", "avoidance"],
+                              "ellipse_axes", [1e-300, 1e-300])
+    log, metrics = tmp_path / "log.csv", tmp_path / "metrics.json"
+    code = main(["simulate", "--scenario", str(scenario), "--tube",
+                 str(triangle_tube), "--out", str(log),
+                 "--metrics", str(metrics)])
+    assert code == 0, capsys.readouterr().err
+    text = log.read_text(encoding="utf-8")
+    assert "nan" not in text and "inf" not in text
+    assert json.loads(metrics.read_text(encoding="utf-8"))[
+        "arrival_rate"] == 1.0

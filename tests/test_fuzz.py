@@ -159,7 +159,7 @@ def workdir(tmp_path_factory):
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
     save_tube(tube_from_waypoints(pairs, waypoints,
-                                  TrajectoryConfig(m_target=3)),
+                                  TrajectoryConfig(segments=3)),
               root / "tube.json")
     (root / "notes.txt").write_text("not json", encoding="utf-8")
     (root / "folder").mkdir()
@@ -227,6 +227,54 @@ def test_integer_boundaries_exit_cleanly(workdir, case):
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     run(["plan", "--scenario", str(scenario),
          "--out", str(workdir / "mutated_plan.json")])
+
+
+# the simulate fuzz starts from every controller key written out, so that
+# nudges reach each one; timestep and time_limit stay fixed, which keeps
+# every run within 50 ticks (test_cli tests their extremes)
+SIM_SCENARIO = copy.deepcopy(SCENARIO)
+SIM_SCENARIO["controller"].update(
+    position_weight=10.0, velocity_weight=1.0, input_weight=0.1,
+    slack_weight=1000.0, terminal_weight_scale=10.0, boundary_tolerance=0.5,
+    input_limit=100.0, reference_speed=2.5)
+SIM_SCENARIO["controller"]["avoidance"]["safety_distance"] = 1.0
+SIM_FIELDS = [("controller", key) for key in SIM_SCENARIO["controller"]
+              if key not in ("timestep", "avoidance")] + [
+    ("controller", "avoidance", "ellipse_axes"),
+    ("controller", "avoidance", "ellipse_axes", 0),
+    ("controller", "avoidance", "safety_distance"), ("goal_radius",)]
+SIM_FUZZ = settings(FUZZ, max_examples=60)
+# numbers, mostly: they pass the type checks and reach the range checks
+# and the run; the extremes probe overflow
+run_values = st.one_of(
+    st.integers(-4, 4).map(Nudge),
+    st.sampled_from([-1.0, 0, 0.0, 1, 2, 1e-300, 1e300, 1e6, "2", None]),
+    st.floats(-20.0, 20.0))
+
+
+def test_simulate_fuzz_scenario_is_valid(workdir):
+    scenario = workdir / "sim_scenario.json"
+    scenario.write_text(json.dumps(SIM_SCENARIO), encoding="utf-8")
+    assert run(["simulate", "--scenario", str(scenario),
+                "--tube", str(workdir / "tube.json")]) == 0
+
+
+@SIM_FUZZ
+@given(edits=st.lists(st.tuples(st.sampled_from(SIM_FIELDS), run_values),
+                      min_size=1, max_size=2))
+def test_mutated_run_settings_simulate_cleanly(workdir, edits):
+    doc = copy.deepcopy(SIM_SCENARIO)
+    for path, value in edits:
+        mutate(doc, path, value)
+    scenario, log = workdir / "sim_mutated.json", workdir / "sim_log.csv"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    log.unlink(missing_ok=True)
+    code = run(["simulate", "--scenario", str(scenario),
+                "--tube", str(workdir / "tube.json"), "--out", str(log)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        text = log.read_text(encoding="utf-8")
+        assert "nan" not in text and "inf" not in text
 
 
 @st.composite

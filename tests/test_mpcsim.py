@@ -126,7 +126,7 @@ def test_section_rows_follow_the_horizon_steps():
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(3))
     tube = tube_from_waypoints(
-        pairs, waypoints, TrajectoryConfig(m_target=6, corridor_mode="none"))
+        pairs, waypoints, TrajectoryConfig(segments=6, corridor_mode="none"))
     grid = reference_grid(tube.basis_x, tube.knots, tube.config.order,
                           np.eye(3), TimeScaling(tube.chord_total, 2.5), 80,
                           0.1)
@@ -145,8 +145,8 @@ def test_section_rows_follow_the_horizon_steps():
 
 
 def test_avoidance_tangent_oracle():
+    # axes of 0.5 make the pair obstacle the unit disc
     model = AvoidanceModel(axes=np.array([0.5, 0.5]))
-    assert np.allclose(model.minkowski_scaling(), np.eye(2))
     self_pred = np.tile([2.0, 0.0], (3, 1))
     neighbor = np.tile([0.0, 0.0], (3, 1))
     hs = avoidance_halfspaces(self_pred, neighbor, model)
@@ -158,7 +158,8 @@ def test_avoidance_tangent_oracle():
 
 def _halfspaces_by_loop(self_pred, neighbor_preds, model, prev_normals):
     """Per-neighbour, per-step reference for avoidance_halfspaces."""
-    E = model.minkowski_scaling()
+    # the pair obstacle is { p : ||E (p - c)|| <= 1 }
+    E = np.diag(1.0 / (2.0 * model.axes))
     J, n, d = neighbor_preds.shape
     normals = np.zeros((J, n, d))
     offsets = np.zeros((J, n))
@@ -241,6 +242,31 @@ def test_avoidance_coincident_center_fallbacks():
     with pytest.raises(CoincidentCenters,
                        match=r"neighbour 0 .* \(batch index \[1\]\)"):
         avoidance_halfspaces(preds, preds[others], model, prev)
+
+
+def test_avoidance_rows_scale_exactly_with_the_axes():
+    # axes scaled by a power of two give the very same normals, and touch
+    # points scaled about the neighbour's center, with no overflow even
+    # where E = diag(1 / (2 axes)) squared would leave the float range
+    rng = np.random.default_rng(5)
+    self_pred = rng.normal(size=(4, 2))
+    neighbors = self_pred + rng.normal(size=(3, 4, 2))
+    axes = np.array([0.5, 0.3])
+    hs = avoidance_halfspaces(self_pred, neighbors, AvoidanceModel(axes))
+    at_center = np.einsum("jkd,jkd->jk", hs.normals, neighbors)
+    for power in (-990, -40, 10):
+        scaled = avoidance_halfspaces(self_pred, neighbors,
+                                      AvoidanceModel(np.ldexp(axes, power)))
+        assert np.array_equal(scaled.normals, hs.normals)
+        assert np.allclose(scaled.offsets - at_center,
+                           np.ldexp(hs.offsets - at_center, power),
+                           rtol=1e-9, atol=1e-12)
+    # the smallest axis beside an ordinary one: no entry of E.T @ E fits a
+    # float, and the rows still come out finite
+    extreme = avoidance_halfspaces(self_pred, neighbors,
+                                   AvoidanceModel([5e-324, 20.0]))
+    assert np.isfinite(extreme.normals).all()
+    assert np.isfinite(extreme.offsets).all()
 
 
 def test_hull_inequalities_square_and_degenerate():
@@ -462,7 +488,7 @@ def straight_pair_tube():
     p0 = np.column_stack([xs, np.zeros(7)])
     p1 = np.column_stack([xs, np.ones(7)])
     waypoints = np.array([p0, p1])
-    config = TrajectoryConfig(m_target=6, corridor_mode="none")
+    config = TrajectoryConfig(segments=6, corridor_mode="none")
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
     return tube_from_waypoints(pairs, waypoints, config)

@@ -1,15 +1,17 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from tubeplan.geometry import OrderPairSet, Terminal
 from tubeplan.mpcsim import Metrics, SimLog
-from tubeplan.scenario_io import (IoError, ParseError, SCHEMA_VERSION,
-                                  TUBE_SCHEMA_VERSION, ValidationError,
-                                  VersionError, load_scenario, load_tube,
-                                  save_log, save_metrics, save_tube)
+from tubeplan.scenario_io import (IoError, ParseError, SCENARIO_KEYS,
+                                  SCHEMA_VERSION, TUBE_SCHEMA_VERSION,
+                                  ValidationError, VersionError,
+                                  load_scenario, load_tube, save_log,
+                                  save_metrics, save_tube)
 from tubeplan.tube import TrajectoryConfig, tube_from_waypoints
 
 
@@ -31,7 +33,6 @@ def write_doc(tmp_path, doc, name="scenario.json"):
 def test_load_corridor_scenario():
     sc = load_scenario("scenarios/corridor_2d.json")
     assert sc.dim == 2
-    assert sc.rng_seed == 42
     assert len(sc.obstacles.boxes) == 2
     assert sc.obstacles.inflation == 0.5
     assert sc.start_terminal.count == 2
@@ -47,9 +48,9 @@ def test_load_corridor_scenario():
     assert sc.rrt.rewire_radius == 4.0
     assert sc.rrt.rng_seed == 42
     assert sc.traj.order == 5
-    assert sc.traj.cost_deriv == 3
+    assert sc.traj.cost_derivative == 3
     assert sc.traj.continuity == 3
-    assert sc.traj.m_target == 5
+    assert sc.traj.segments == 5
     assert sc.traj.corridor_mode == "strict"
     assert sc.mpc.horizon == 10
     assert sc.mpc.timestep == 0.1
@@ -63,7 +64,7 @@ def test_load_corridor_scenario():
 def test_minimal_document_fills_every_default(tmp_path):
     sc = load_scenario(write_doc(tmp_path, minimal_doc()))
     assert sc.dim == 2
-    assert sc.rng_seed == 0
+    assert sc.rrt.rng_seed == 0
     assert sc.obstacles.boxes == ()
     assert sc.obstacles.inflation == 0.0
     assert sc.robot_starts.shape == (0, 2)
@@ -176,12 +177,111 @@ def test_geometry_and_planner_settings_are_validated(tmp_path):
     expect_invalid(tmp_path, doc, "nonnegative")
 
 
+def set_key(doc, path, value):
+    """doc with value at a dotted path, creating the sections on the way."""
+    *sections, key = path.split(".")
+    owner = doc
+    for section in sections:
+        owner = owner.setdefault(section, {})
+    owner[key] = value
+    return doc
+
+
+# one typo per object that holds keys
+@pytest.mark.parametrize("path", [
+    "goal_radus", "obstacles.inflaton", "obstacles.boxes[0].mni",
+    "robots.cont", "planner.segmnts", "planner.rrt.max_iteration",
+    "planner.polynomial.ordr", "planner.corridor.widht",
+    "controller.horizn", "controller.avoidance.safety_distnce"])
+def test_unknown_keys_are_rejected(tmp_path, path):
+    doc = minimal_doc()
+    doc["obstacles"] = {"boxes": [{"min": [2.0, 4.0], "max": [3.0, 5.0]}]}
+    doc["robots"] = {"count": 2}
+    if path == "obstacles.boxes[0].mni":
+        doc["obstacles"]["boxes"][0]["mni"] = [2.0, 4.0]
+    else:
+        set_key(doc, path, 1)
+    expect_invalid(tmp_path, doc, rf"^{re.escape(path)}: unknown key$")
+
+
+@pytest.mark.parametrize("path", ["controller", "planner.rrt",
+                                  "controller.avoidance"])
+def test_sections_must_be_objects(tmp_path, path):
+    expect_invalid(tmp_path, set_key(minimal_doc(), path, [1.0]),
+                   rf"^{re.escape(path)}: expected an object$")
+
+
+@pytest.mark.parametrize("path, value, match", [
+    ("rng_seed", -1, "rng_seed must be nonnegative"),
+    ("planner.variance_weight", -1.0,
+     "planner.variance_weight must be nonnegative"),
+    ("planner.rrt.max_iterations", 0,
+     "planner.rrt.max_iterations must be at least 1"),
+    ("planner.rrt.step_size", 0.0, "planner.rrt.step_size must be positive"),
+    ("planner.rrt.rewire_radius", -1.0,
+     "planner.rrt.rewire_radius must be positive"),
+    ("planner.rrt.corridor_shrink_radius", -1.0,
+     "planner.rrt.corridor_shrink_radius must be positive"),
+    ("planner.segments", 0, "planner.segments must be at least 1"),
+    ("planner.polynomial.cost_derivative", 6,
+     r"planner.polynomial.cost_derivative must be in \[1, order\]"),
+    ("planner.corridor.width", 0.0, "planner.corridor.width must be positive"),
+    ("controller.horizon", 1, "controller.horizon must be at least 2"),
+    ("controller.timestep", 0.0, "controller.timestep must be positive"),
+    ("controller.boundary_tolerance", 0.0,
+     "controller.boundary_tolerance must be positive"),
+    ("controller.boundary_tolerance", -1.0,
+     "controller.boundary_tolerance must be positive"),
+    ("controller.input_limit", 0.0, "controller.input_limit must be positive"),
+    ("controller.input_limit", -1.0,
+     "controller.input_limit must be positive"),
+    ("controller.slack_weight", -1.0,
+     "controller.slack_weight must be positive"),
+    ("controller.position_weight", -5.0,
+     "controller.position_weight must be nonnegative"),
+    ("controller.velocity_weight", -1.0,
+     "controller.velocity_weight must be nonnegative"),
+    ("controller.input_weight", -1.0,
+     "controller.input_weight must be nonnegative"),
+    ("controller.terminal_weight_scale", -1.0,
+     "controller.terminal_weight_scale must be nonnegative"),
+    ("controller.reference_speed", 0.0,
+     "controller.reference_speed must be positive"),
+    ("controller.avoidance.ellipse_axes", [0.5, 0.0],
+     "controller.avoidance.ellipse_axes must be positive and finite"),
+    ("controller.avoidance.ellipse_axes", [0.5, 0.5, 0.5],
+     "controller.avoidance.ellipse_axes: expected 2 entries"),
+    ("controller.avoidance.safety_distance", -1.0,
+     "controller.avoidance.safety_distance must be positive")])
+def test_settings_out_of_range_are_rejected(tmp_path, path, value, match):
+    expect_invalid(tmp_path, set_key(minimal_doc(), path, value),
+                   rf"^{match}$")
+
+
+def test_zero_weights_stay_valid(tmp_path):
+    doc = minimal_doc()
+    for key in ("position_weight", "velocity_weight", "input_weight",
+                "terminal_weight_scale"):
+        set_key(doc, f"controller.{key}", 0.0)
+    set_key(doc, "planner.variance_weight", 0.0)
+    sc = load_scenario(write_doc(tmp_path, doc))
+    assert sc.mpc.velocity_weight == sc.mpc.input_weight == 0.0
+    assert sc.variance_weight == 0.0
+
+
+def test_readme_lists_every_scenario_key():
+    text = open("README.md", encoding="utf-8").read()
+    section = text.split("### Scenario documents")[1].split("\n## ")[0]
+    listed = set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
+    assert listed == SCENARIO_KEYS
+
+
 def hand_tube(corridor_mode):
     """Two parallel straight member paths, solved directly."""
     xs = np.linspace(0.0, 12.0, 7)
     waypoints = np.array([np.column_stack([xs, np.zeros(7)]),
                           np.column_stack([xs, np.ones(7)])])
-    config = TrajectoryConfig(m_target=6, corridor_mode=corridor_mode)
+    config = TrajectoryConfig(segments=6, corridor_mode=corridor_mode)
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
     return tube_from_waypoints(pairs, waypoints, config)
@@ -281,9 +381,9 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
     for key, value, match in [
             ("corridor_mode", "loose", "must be one of"),
             ("continuity", -1, r"continuity must be in \[0, order\]"),
-            ("corridor_samples", 0, "corridor samples must be at least 1"),
-            ("corridor_samples", -2, "corridor samples must be at least 1"),
-            ("cost_derivative", 9, r"cost derivative must be in \[1, order\]"),
+            ("corridor_samples", 0, "corridor_samples must be at least 1"),
+            ("corridor_samples", -2, "corridor_samples must be at least 1"),
+            ("cost_derivative", 9, r"cost_derivative must be in \[1, order\]"),
             ("order", 5.0, "config.order: expected an integer"),
             ("segments", 9, "config.segments is 9, but the knots span 6")]:
         def set_config(doc):

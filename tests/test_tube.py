@@ -120,7 +120,7 @@ _SKEW_3D = [[[0.0, 0.0, 0.0], [3.0, 1.0, 0.5], [6.0, 0.0, 2.0],
 @pytest.mark.parametrize("tube_kind", ["triangle_2d", "skew_3d"])
 def test_evaluate_grid_matches_scalar_evaluate(triangle_tube, tube_kind):
     tube = (triangle_tube if tube_kind == "triangle_2d"
-            else hand_tube(_SKEW_3D, TrajectoryConfig(m_target=4)))
+            else hand_tube(_SKEW_3D, TrajectoryConfig(segments=4)))
     order = tube.config.order
     # every knot (right-open segments, closed last one), the ends, and
     # random parameters
@@ -176,7 +176,7 @@ def _kink_paths(spread):
 
 
 def test_equality_only_members_verify():
-    cfg = TrajectoryConfig(m_target=6, corridor_mode="none")
+    cfg = TrajectoryConfig(segments=6, corridor_mode="none")
     tube = hand_tube(_kink_paths(0.4), cfg)
     assert tube.corridor is None
     rng = np.random.default_rng(8)
@@ -190,7 +190,7 @@ def test_equality_only_members_verify():
 def test_shared_active_rows_still_transfer():
     # tight corridor: both basis solutions clamp onto the same wall rows,
     # so members remain exactly optimal with those rows active
-    cfg = TrajectoryConfig(m_target=6, corridor_width=0.15)
+    cfg = TrajectoryConfig(segments=6, corridor_width=0.15)
     tube = hand_tube(_kink_paths(0.02), cfg)
     a0 = set(tube.solutions[0].active_set.tolist())
     a1 = set(tube.solutions[1].active_set.tolist())
@@ -209,7 +209,7 @@ def test_differing_active_rows_detected():
     # the combination is then genuinely suboptimal and must be reported
     zig = np.array([[0.0, 0.0], [4.0, 3.0], [8.0, 0.0]])
     paths = equalize_waypoints([zig, zig + np.array([0.0, 1.0])], 5)
-    cfg = TrajectoryConfig(m_target=5, corridor_width=0.3)
+    cfg = TrajectoryConfig(segments=5, corridor_width=0.3)
     tube = hand_tube(paths, cfg)
     a0 = set(tube.solutions[0].active_set.tolist())
     a1 = set(tube.solutions[1].active_set.tolist())
