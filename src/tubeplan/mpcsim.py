@@ -13,6 +13,14 @@ the slacks.  Shifting them by the unconstrained minimiser leaves a pure
 quadratic form over affine inequalities with no equality rows, which the
 trajectory QP solver takes as it is.
 
+Each tick assembles the QPs of the whole swarm at once (``tick_qps``):
+the free responses, the unconstrained minimisers and the input,
+avoidance and tube rows are arrays with a leading robot axis, and robots
+whose horizon steps take the same tube rows (cross-section facets or
++-eps_c boxes) share one row array.  Only the active-set loops run per
+robot (``mpc_step``), each against its neighbours' plans of the
+previous tick.
+
 The condensed Hessian is positive definite and depends only on the
 dynamics, the horizon and the weights, so ``simulate`` builds it and its
 Cholesky factor once (``HorizonQp``) for every robot and tick.  Each
@@ -42,12 +50,15 @@ from scipy.spatial import ConvexHull, QhullError
 from .geometry import PointOutsideHull, barycentric_weights
 from .knots import KnotVector
 from .trajopt import (AffineInequalities, CostSpec, EqualitySystem,
-                      RankDeficient, evaluate_grid, solve_qp)
+                      Infeasible, RankDeficient, evaluate_grid, solve_qp)
 from .tube import OptimalVirtualTube, check_weights
 
 # distance-to-facet threshold separating interior from boundary robots
 _BOUNDARY_TOL = 1e-6
 MAX_TICKS = 10**6  # the longest run simulate accepts
+# the longest horizon MpcConfig accepts: the QP arrays of one tick grow
+# with the square of the horizon times the square of the swarm size
+MAX_HORIZON = 50
 
 
 class CoincidentCenters(RuntimeError):
@@ -122,7 +133,9 @@ class MpcConfig:
     def __post_init__(self):
         # the position at step 1 depends on no input of the double
         # integrator, so a horizon of 1 constrains no controlled position
-        rules = [(self.horizon >= 2, "horizon must be at least 2")]
+        rules = [(self.horizon >= 2, "horizon must be at least 2"),
+                 (self.horizon <= MAX_HORIZON,
+                  f"horizon must be at most {MAX_HORIZON}")]
         rules += [(getattr(self, f) > 0, f"{f} must be positive") for f in (
             "timestep", "slack_weight", "boundary_tolerance", "input_limit",
             "reference_speed")]
@@ -155,14 +168,6 @@ class AvoidanceModel:
                 (self.safety_distance > 0, "safety_distance must be positive")):
             if not ok:
                 raise ValueError(rule)
-
-
-@dataclass
-class ReferenceWindow:
-    """Desired states and inputs over one horizon."""
-
-    states: np.ndarray    # (N + 1, 2 d)
-    inputs: np.ndarray    # (N + 1, d), feedforward accelerations
 
 
 @dataclass
@@ -214,11 +219,12 @@ def reference_grid(basis_x: np.ndarray, knots: KnotVector, order: int,
     return ReferenceGrid(basis[0], states, inputs, params)
 
 
-def reference_window(grid: ReferenceGrid, robot: int, tick: int,
-                     horizon: int) -> ReferenceWindow:
-    """One robot's reference over the horizon that starts at a tick."""
+def reference_window(grid: ReferenceGrid, tick: int, horizon: int):
+    """Every robot's reference over the horizon that starts at a tick:
+    the desired states (M, N + 1, 2 d) and feedforward inputs
+    (M, N + 1, d)."""
     g = grid.index(np.arange(tick, tick + horizon + 1))
-    return ReferenceWindow(grid.states[robot, g], grid.inputs[robot, g])
+    return grid.states[:, g], grid.inputs[:, g]
 
 
 @dataclass
@@ -312,12 +318,6 @@ def hull_inequalities(points: np.ndarray):
     return eqs[:, :d], -eqs[:, d]
 
 
-def boundary_margin(rows, p: np.ndarray) -> float:
-    """Distance from p to the nearest hull facet (negative outside)."""
-    A, b = rows
-    return float((b - A @ p).min())
-
-
 @dataclass(frozen=True)
 class HorizonQp:
     """What every horizon QP of one simulation shares.
@@ -333,6 +333,7 @@ class HorizonQp:
     H: np.ndarray          # (nz, nz) Hessian over z = [u~, s]
     L_inv: np.ndarray      # inverse of the lower Cholesky factor of 2 H
     G_bounds: np.ndarray   # input-limit rows, then slack-sign rows
+    G_box: np.ndarray      # (N, 2 d, nz) +-eps_c box rows of steps 1..N
     input_limit: float
 
     @property
@@ -350,7 +351,7 @@ def horizon_qp(config: MpcConfig, d: int, N: int) -> HorizonQp:
     A, B = dyn.A, dyn.B
     n_u = N * d
     nz = n_u + N + 1
-    # x~_{k+1} = A x~_k + B u~_k stacks into x~ = S u~ (+ F, per call)
+    # x~_{k+1} = A x~_k + B u~_k stacks into x~ = S u~ (+ F, per robot)
     S = np.zeros((N + 1, 2 * d, n_u))
     for k in range(N):
         S[k + 1] = A @ S[k]
@@ -374,88 +375,151 @@ def horizon_qp(config: MpcConfig, d: int, N: int) -> HorizonQp:
     G_bounds = np.zeros((2 * n_u + N + 1, nz))
     G_bounds[:2 * n_u, :n_u] = np.kron(np.eye(n_u), [[1.0], [-1.0]])
     G_bounds[2 * n_u:, n_u:] = -np.eye(N + 1)
-    return HorizonQp(A, B, S, weights, H, L_inv, G_bounds,
+    # |p_k - p_d,k| <= eps_c per axis, upper bounds first, as -+p~_k rows
+    G_box = np.zeros((N, 2 * d, nz))
+    G_box[:, :d, :n_u] = -S[1:, :d]
+    G_box[:, d:, :n_u] = S[1:, :d]
+    return HorizonQp(A, B, S, weights, H, L_inv, G_bounds, G_box,
                      config.input_limit)
 
 
-def mpc_step(state: np.ndarray, window: ReferenceWindow,
-             halfspaces: Halfspaces | None, horizon: HorizonQp,
-             position_rows=None, warm=None):
-    """One condensed horizon QP; returns the first input, the planned
-    absolute states, the largest slack, and the warm start for the next
-    call.
+@dataclass
+class TickQps:
+    """Every robot's horizon QP of one tick.
 
     The variables are z = [u~, s]: the input errors u~_k = u_d,k - u_k
-    for steps 0..N-1 and one slack per step 0..N.  The error states
-    x~_k = x_d,k - x_k follow from the dynamics as x~ = S u~ + F, where
-    S comes with the horizon and F is this call's free response.
-    position_rows, when given, is a list over steps 1..N of (A, b) rows on
-    the absolute position (tube cross-section facets or boundary boxes).
-    Avoidance rows share one nonnegative slack per step.
-    warm is the (row count, working set) pair returned by this robot's
-    previous call; its working set seeds the QP when the row count of
-    this call's inequalities is the same, else the QP starts cold.
+    for steps 0..N-1 and one slack per step 0..N.  Robot i minimises
+    y^T H y over y = z - z_star[i] subject to G[i] y <= h[i].  Robots
+    whose steps take the same tube rows share one row count, and their
+    G[i] are slices of one array.
+    """
+
+    G: list                # per robot (rows, nz)
+    h: list                # per robot (rows,)
+    z_star: np.ndarray     # (M, nz) unconstrained minimisers
+    free: np.ndarray       # (M, N + 1, 2 d) free responses F
+
+
+def tick_qps(horizon: HorizonQp, ref: np.ndarray, ff: np.ndarray,
+             state: np.ndarray, halfspaces: Halfspaces, sections,
+             tolerance: float) -> TickQps:
+    """Assemble the horizon QPs of every robot at one tick at once.
+
+    ref (M, N + 1, 2 d) and ff (M, N + 1, d) are the reference windows,
+    state (M, 2 d) the current states, and halfspaces the avoidance rows
+    of every robot against its J neighbours, (M, J, N + 1, ...).  sections
+    lists the cross-section facets (A, b) of steps 1..N, None where the
+    cross-section is flat.  A step constrains a robot by those facets
+    while its reference keeps a margin of _BOUNDARY_TOL from them, and
+    else by a +-tolerance box around the reference.
+
+    Each robot's rows are, in order: the input limits, the slack signs,
+    the avoidance rows (neighbour j, step k), then the tube rows step by
+    step.  Avoidance rows share one nonnegative slack per step.
     """
     A, B, S = horizon.A, horizon.B, horizon.S
     N, d = horizon.steps, B.shape[1]
-    n_u = N * d
+    M, n_u = ref.shape[0], N * d
     nz = n_u + N + 1
 
-    # x~_{k+1} = A x~_k + B u~_k + w_k, where w_k is the amount by which
-    # the reference itself misses the dynamics
-    ref, ff = window.states, window.inputs
-    drift = ref[1:] - ref[:-1] @ A.T - ff[:-1] @ B.T
-    F = np.empty((N + 1, 2 * d))
-    F[0] = ref[0] - np.asarray(state, dtype=float)
+    # error states x~ = S u~ + F, with x~_{k+1} = A x~_k + B u~_k + w_k,
+    # where w_k is the amount by which the reference misses the dynamics
+    drift = ref[:, 1:] - ref[:, :-1] @ A.T - ff[:, :-1] @ B.T
+    F = np.empty_like(ref)
+    F[:, 0] = ref[:, 0] - state
     for k in range(N):
-        F[k + 1] = A @ F[k] + drift[k]
+        F[:, k + 1] = F[:, k] @ A.T + drift[:, k]
 
     # the unconstrained minimiser of z^T H z + 2 (S^T Q F)^T u~, through
     # the input block of the factor (the slack block is diagonal);
     # shifting to y = z - z_star leaves the pure quadratic form y^T H y
     L_u = horizon.L_inv[:n_u, :n_u]
-    grad = S.reshape(-1, n_u).T @ (horizon.weights * F).ravel()
-    z_star = np.zeros(nz)
-    z_star[:n_u] = -2.0 * (L_u.T @ (L_u @ grad))
+    grad = ((horizon.weights * F).reshape(M, 2 * d * (N + 1))
+            @ S.reshape(-1, n_u))
+    z_star = np.zeros((M, nz))
+    z_star[:, :n_u] = -2.0 * ((grad @ L_u.T) @ L_u)
 
-    u_ref = ff[:N].ravel()
+    u_ref = ff[:, :N].reshape(M, n_u, 1)
     h_in = (horizon.input_limit
-            + np.column_stack([u_ref, -u_ref])).ravel()
-    G_parts, h_parts = [horizon.G_bounds], [h_in, np.zeros(N + 1)]
+            + np.concatenate([u_ref, -u_ref], axis=2)).reshape(M, 2 * n_u)
     # rows on p~_k = S_pos u~ + p_d,k - p_ff for steps 1..N, where p_ff
     # is the absolute position reached by flying the feedforward alone
     S_pos = S[1:, :d]
-    p_ff = ref[1:, :d] - F[1:, :d]
-    if halfspaces is not None:       # n . p~_k - s_k <= n . p_d,k - offset
-        normals = halfspaces.normals[:, 1:]
-        G_av = np.zeros((normals.shape[0], N, nz))
-        G_av[..., :n_u] = np.einsum("jkd,kdu->jku", normals, S_pos)
-        G_av[:, np.arange(N), n_u + 1 + np.arange(N)] = -1.0
-        G_parts.append(G_av.reshape(-1, nz))
-        h_parts.append((np.einsum("jkd,kd->jk", normals, p_ff)
-                        - halfspaces.offsets[:, 1:]).ravel())
-    if position_rows is not None:    # -a . p~_k <= b - a . p_d,k
-        step = np.concatenate([np.full(len(b), k)
-                               for k, (_, b) in enumerate(position_rows)])
-        A_p = np.vstack([a for a, _ in position_rows])
-        b_p = np.concatenate([b for _, b in position_rows])
-        G_pos = np.zeros((step.size, nz))
-        G_pos[:, :n_u] = -np.einsum("rd,rdu->ru", A_p, S_pos[step])
-        G_parts.append(G_pos)
-        h_parts.append(b_p - np.einsum("rd,rd->r", A_p, p_ff[step]))
-    G = np.vstack(G_parts)
-    h = np.concatenate(h_parts)
+    p_ref, F_pos = ref[:, 1:, :d], F[:, 1:, :d]
+    p_ff = p_ref - F_pos
+    normals = halfspaces.normals[:, :, 1:]   # n . p~_k - s_k <= h
+    J = normals.shape[1]
+    h_av = (np.einsum("mjkd,mkd->mjk", normals, p_ff)
+            - halfspaces.offsets[:, :, 1:]).reshape(M, J * N)
 
+    # facet rows -a . p~_k <= b - a . p_ff, shared by the robots whose
+    # reference at step k keeps its margin; the box rows of the others,
+    # -+p~_k <= eps_c, read -+S_pos u~ <= eps_c +- F_pos
+    facets = np.zeros((M, N), dtype=bool)
+    G_hull, h_hull = [None] * N, [None] * N
+    for k, rows in enumerate(sections):
+        if rows is None:
+            continue
+        a, b = rows
+        facets[:, k] = (b - p_ref[:, k] @ a.T).min(axis=1) > _BOUNDARY_TOL
+        if facets[:, k].any():
+            G_hull[k] = np.zeros((b.size, nz))
+            G_hull[k][:, :n_u] = -a @ S_pos[k]
+            h_hull[k] = b - p_ff[:, k] @ a.T
+    h_box = np.concatenate([tolerance + F_pos, tolerance - F_pos], axis=2)
+
+    G_out, h_out = [None] * M, [None] * M
+    fixed = horizon.G_bounds.shape[0]
+    groups = {}
+    for i, pattern in enumerate(facets):
+        groups.setdefault(pattern.tobytes(), []).append(i)
+    for robots in map(np.array, groups.values()):
+        pattern = facets[robots[0]]
+        G_pos = np.concatenate([G_hull[k] if pattern[k] else horizon.G_box[k]
+                                for k in range(N)])
+        G = np.zeros((robots.size, fixed + J * N + G_pos.shape[0], nz))
+        G[:, :fixed] = horizon.G_bounds
+        G_av = G[:, fixed:fixed + J * N].reshape(robots.size, J, N, nz)
+        G_av[..., :n_u] = (normals[robots, ..., None, :] @ S_pos)[..., 0, :]
+        G_av[..., np.arange(N), n_u + 1 + np.arange(N)] = -1.0
+        G[:, fixed + J * N:] = G_pos
+        h = np.concatenate(
+            [h_in[robots], np.zeros((robots.size, N + 1)), h_av[robots]]
+            + [h_hull[k][robots] if pattern[k] else h_box[robots, k]
+               for k in range(N)], axis=1)
+        h -= (G @ z_star[robots, :, None])[..., 0]
+        for i, G_i, h_i in zip(robots.tolist(), G, h):
+            G_out[i], h_out[i] = G_i, h_i
+    return TickQps(G_out, h_out, z_star, F)
+
+
+def mpc_step(G: np.ndarray, h: np.ndarray, z_star: np.ndarray,
+             horizon: HorizonQp, warm=None):
+    """Solve one robot's horizon QP of a tick (see TickQps); returns its
+    solution z and the warm start for the robot's next call.
+
+    warm is the (row count, working set) pair returned by this robot's
+    previous call; its working set seeds the QP when the row count of
+    this call's inequalities is the same, else the QP starts cold.
+    """
+    nz = G.shape[1]
     working = warm[1] if warm is not None and warm[0] == G.shape[0] else None
     sol = solve_qp(CostSpec(horizon.H, 0),
                    EqualitySystem(np.zeros((0, nz)), np.zeros(0)),
-                   AffineInequalities(G, h - G @ z_star), working=working,
+                   AffineInequalities(G, h), working=working,
                    factor=horizon.L_inv)
-    z = sol.x + z_star
-    u_err = z[:n_u]
-    u0 = ff[0] - u_err[:d]
-    plan = ref - (S @ u_err + F)
-    return u0, plan, float(z[n_u:].max()), (G.shape[0], sol.working)
+    return sol.x + z_star, (G.shape[0], sol.working)
+
+
+def horizon_plans(horizon: HorizonQp, ref: np.ndarray, ff: np.ndarray,
+                  free: np.ndarray, z: np.ndarray):
+    """Every robot's first input (M, d), planned absolute states
+    (M, N + 1, 2 d) and largest slack (M,) from its QP solution z."""
+    S = horizon.S
+    n_u = S.shape[2]
+    u_err = z[:, :n_u]
+    plan = ref - (np.einsum("kxu,mu->mkx", S, u_err) + free)
+    return ff[:, 0] - u_err[:, :ff.shape[2]], plan, z[:, n_u:].max(axis=1)
 
 
 @dataclass
@@ -496,7 +560,9 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     position.  Per tick, every robot solves its horizon QP against a
     snapshot of neighbour plans from the previous tick, so results do not
     depend on robot order.  A run of more than MAX_TICKS ticks is refused
-    before anything is allocated.
+    before anything is allocated.  A horizon QP without a feasible point
+    raises Infeasible naming the robot, the tick and the settings that
+    bind.
     """
     scaling = TimeScaling(tube.chord_total, config.reference_speed)
     if time_limit is None:
@@ -536,8 +602,9 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     steps = np.arange(N + 1)[:, None] * Ts
     preds = starts[:, None] + steps * states[0, :, None, d:]
     # others[i] lists every robot but i, in robot order
-    others = np.arange(M - 1) + (np.arange(M - 1) >= np.arange(M)[:, None])
-    prev_normals = np.full((M, M - 1, d), np.nan)
+    J = max(M - 1, 0)
+    others = np.arange(J) + (np.arange(J) >= np.arange(M)[:, None])
+    prev_normals = np.full((M, J, d), np.nan)
     warm = [None] * M
     hulls = {}
 
@@ -547,14 +614,27 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
         hs = avoidance_halfspaces(preds, preds[others], avoidance,
                                   prev_normals)
         prev_normals = hs.normals[:, :, -1]
+        ref, ff = reference_window(refs, tick, N)
+        qps = tick_qps(horizon, ref, ff, states[tick], hs, section_rows,
+                       config.boundary_tolerance)
+        z = np.empty_like(qps.z_star)
         for i in range(M):
-            window = reference_window(refs, i, tick, N)
-            pos_rows = _position_rows(section_rows, window, config)
-            inputs[tick, i], plan, max_slack[tick, i], warm[i] = mpc_step(
-                states[tick, i], window,
-                Halfspaces(hs.normals[i], hs.offsets[i]), horizon, pos_rows,
-                warm[i])
-            preds[i] = np.vstack([plan[1:, :d], plan[-1:, :d]])
+            try:
+                z[i], warm[i] = mpc_step(qps.G[i], qps.h[i], qps.z_star[i],
+                                         horizon, warm[i])
+            except Infeasible as err:
+                raise Infeasible(
+                    f"robot {i} at tick {tick}: {err}; the settings that "
+                    f"bind are controller.reference_speed "
+                    f"({config.reference_speed:g}), "
+                    f"controller.boundary_tolerance "
+                    f"({config.boundary_tolerance:g}) and "
+                    f"controller.input_limit ({config.input_limit:g})"
+                ) from err
+        inputs[tick], plans, max_slack[tick] = horizon_plans(
+            horizon, ref, ff, qps.free, z)
+        del qps    # free this tick's rows before the next tick builds its own
+        preds = np.concatenate([plans[:, 1:, :d], plans[:, -1:, :d]], axis=1)
         states[tick + 1] = (np.einsum("ij,mj->mi", horizon.A, states[tick])
                             + np.einsum("ij,mj->mi", horizon.B, inputs[tick]))
         used = tick + 1
@@ -584,25 +664,6 @@ def _section_rows(refs: ReferenceGrid, tick: int, horizon: int,
             hulls[g] = hull_inequalities(refs.sections[:, g])
         rows.append(hulls[g])
     return rows
-
-
-def _position_rows(section_rows, window: ReferenceWindow, config: MpcConfig):
-    """Tube constraint per step: hull facets for interior references,
-    a +-eps_c box around the reference for boundary references."""
-    d = window.inputs.shape[1]
-    eye = np.eye(d)
-    box_A = np.vstack([eye, -eye])
-    out = []
-    for k in range(1, window.states.shape[0]):
-        ref = window.states[k, :d]
-        rows = section_rows[k - 1]
-        if rows is not None and boundary_margin(rows, ref) > _BOUNDARY_TOL:
-            out.append(rows)
-        else:
-            box_b = np.concatenate([ref + config.boundary_tolerance,
-                                    -(ref - config.boundary_tolerance)])
-            out.append((box_A, box_b))
-    return out
 
 
 def compute_metrics(log: SimLog, time_limit: float,

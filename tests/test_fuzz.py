@@ -259,6 +259,23 @@ def test_simulate_fuzz_scenario_is_valid(workdir):
                 "--tube", str(workdir / "tube.json")]) == 0
 
 
+def test_infeasible_horizon_qp_names_robot_tick_and_settings(workdir,
+                                                            capsys):
+    # at 13.8 m/s the first robot's first horizon QP has no feasible point
+    doc = copy.deepcopy(SIM_SCENARIO)
+    doc["controller"]["reference_speed"] = 13.8
+    scenario = workdir / "sim_fast.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--tube", str(workdir / "tube.json")]) == 3
+    assert capsys.readouterr().err == (
+        "error: robot 0 at tick 0: active inequality row dependent on "
+        "existing constraints; no feasible point; the settings that bind "
+        "are controller.reference_speed (13.8), "
+        "controller.boundary_tolerance (0.5) and controller.input_limit "
+        "(100)\n")
+
+
 @SIM_FUZZ
 @given(edits=st.lists(st.tuples(st.sampled_from(SIM_FIELDS), run_values),
                       min_size=1, max_size=2))

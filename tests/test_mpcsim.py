@@ -3,13 +3,14 @@ import pytest
 
 from tubeplan.geometry import OrderPairSet, Terminal
 from tubeplan.knots import KnotVector
+from tubeplan import mpcsim
 from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters,
-                             DiscreteDynamics, MpcConfig, SimLog,
+                             DiscreteDynamics, Halfspaces, MpcConfig, SimLog,
                              StartOutsideTerminal, TimeScaling,
-                             avoidance_halfspaces, boundary_margin,
-                             compute_metrics, horizon_qp, hull_inequalities,
+                             avoidance_halfspaces, compute_metrics,
+                             horizon_plans, horizon_qp, hull_inequalities,
                              mpc_step, reference_grid, reference_window,
-                             simulate, _position_rows, _section_rows)
+                             simulate, tick_qps, _section_rows)
 from tubeplan import trajopt
 from tubeplan.trajopt import PiecewisePolynomial, RankDeficient
 from tubeplan.tube import (TrajectoryConfig, cross_section, member_trajectory,
@@ -38,11 +39,20 @@ def test_time_scaling():
 
 
 def _window(traj, scaling, tick, horizon, timestep):
-    """reference_window of one trajectory, taken as a one-member basis."""
+    """reference_window of one trajectory, taken as a one-member basis:
+    its states (N + 1, 2 d) and feedforward inputs (N + 1, d)."""
     grid = reference_grid(traj.x[None], traj.knots, traj.order,
                           np.ones((1, 1)), scaling, tick + horizon + 1,
                           timestep)
-    return reference_window(grid, 0, tick, horizon)
+    states, inputs = reference_window(grid, tick, horizon)
+    return states[0], inputs[0]
+
+
+def _margin(rows, p):
+    """Distance from p to the nearest facet of hull rows (negative
+    outside)."""
+    A, b = rows
+    return float((b - A @ p).min())
 
 
 def test_reference_window_tracks_then_holds_goal():
@@ -53,16 +63,17 @@ def test_reference_window_tracks_then_holds_goal():
     # t = 0.05 g reaches 1.0 at g = 20, where the grid stops
     assert grid.params.size == 21
     assert grid.params[-1] == 1.0
-    window = reference_window(grid, 0, tick=15, horizon=10)
+    states, inputs = reference_window(grid, tick=15, horizon=10)
+    assert states.shape == (1, 11, 2) and inputs.shape == (1, 11, 1)
     for k in range(5):
         t = 0.75 + 0.05 * k
-        assert window.states[k, 0] == pytest.approx(2 * t)
-        assert window.states[k, 1] == pytest.approx(1.0)   # 2 * rate
-        assert window.inputs[k, 0] == pytest.approx(0.0)
+        assert states[0, k, 0] == pytest.approx(2 * t)
+        assert states[0, k, 1] == pytest.approx(1.0)   # 2 * rate
+        assert inputs[0, k, 0] == pytest.approx(0.0)
     for k in range(5, 11):
-        assert window.states[k, 0] == pytest.approx(2.0)
-        assert window.states[k, 1] == 0.0
-        assert window.inputs[k, 0] == 0.0
+        assert states[0, k, 0] == pytest.approx(2.0)
+        assert states[0, k, 1] == 0.0
+        assert inputs[0, k, 0] == 0.0
 
 
 def _scalar_window(traj, scaling, tick, horizon, timestep):
@@ -101,15 +112,15 @@ def test_reference_grid_matches_per_step_reference():
         traj = member_trajectory(tube, theta)
         goal = trajopt.evaluate(traj, 1.0)
         for tick in range(ticks):
-            window = reference_window(grid, i, tick, N)
+            ref, ff = (w[i] for w in reference_window(grid, tick, N))
             states, inputs = _scalar_window(traj, scaling, tick, N, Ts)
             scale = max(1.0, float(np.abs(inputs).max()))
-            assert np.abs(window.states - states).max() <= 1e-12 * scale
-            assert np.abs(window.inputs - inputs).max() <= 1e-12 * scale
+            assert np.abs(ref - states).max() <= 1e-12 * scale
+            assert np.abs(ff - inputs).max() <= 1e-12 * scale
         # past the end: the goal held, zero velocity and feedforward
-        assert np.abs(window.states[:, :2] - goal).max() <= 1e-12
-        assert np.array_equal(window.states[:, 2:], np.zeros((N + 1, 2)))
-        assert np.array_equal(window.inputs, np.zeros((N + 1, 2)))
+        assert np.abs(ref[:, :2] - goal).max() <= 1e-12
+        assert np.array_equal(ref[:, 2:], np.zeros((N + 1, 2)))
+        assert np.array_equal(ff, np.zeros((N + 1, 2)))
     # cross-sections are the basis positions of the same grid
     for g in (0, 17, grid.params.size - 1):
         section = cross_section(tube, grid.params[g]).points
@@ -140,8 +151,8 @@ def test_section_rows_follow_the_horizon_steps():
         section = cross_section(tube, grid.params[tick + k + 1]).points
         ref = hull_inequalities(section)
         for p in probes:
-            assert boundary_margin(facets, p) == pytest.approx(
-                boundary_margin(ref, p), abs=1e-12)
+            assert _margin(facets, p) == pytest.approx(_margin(ref, p),
+                                                       abs=1e-12)
 
 
 def test_avoidance_tangent_oracle():
@@ -275,9 +286,9 @@ def test_hull_inequalities_square_and_degenerate():
     assert rows is not None
     A, b = rows
     assert A.shape == (4, 2)
-    assert boundary_margin(rows, np.array([0.5, 0.5])) == pytest.approx(0.5)
-    assert boundary_margin(rows, np.array([0.0, 0.0])) == pytest.approx(0.0)
-    assert boundary_margin(rows, np.array([2.0, 0.5])) == pytest.approx(-1.0)
+    assert _margin(rows, np.array([0.5, 0.5])) == pytest.approx(0.5)
+    assert _margin(rows, np.array([0.0, 0.0])) == pytest.approx(0.0)
+    assert _margin(rows, np.array([2.0, 0.5])) == pytest.approx(-1.0)
     # collinear cross-sections have no interior
     line = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     assert hull_inequalities(line) is None
@@ -290,23 +301,44 @@ def _linear_window(horizon=10, timestep=0.1):
 
 
 def _horizon(config, window):
-    return horizon_qp(config, window.inputs.shape[1],
-                      window.states.shape[0] - 1)
+    ref, ff = window
+    return horizon_qp(config, ff.shape[1], ref.shape[0] - 1)
+
+
+# a box this wide never binds: the QP is as good as free of tube rows
+WIDE = 1e3
+
+
+def _solve(state, window, hs, horizon, tolerance, warm=None):
+    """One robot's horizon QP, assembled by tick_qps on a swarm of one
+    robot without tube facets; returns its first input, plan, largest
+    slack and warm start."""
+    ref, ff = (w[None] for w in window)
+    N, d = horizon.steps, ff.shape[2]
+    if hs is None:
+        hs = Halfspaces(np.zeros((0, N + 1, d)), np.zeros((0, N + 1)))
+    qps = tick_qps(horizon, ref, ff, state[None],
+                   Halfspaces(hs.normals[None], hs.offsets[None]),
+                   [None] * N, tolerance)
+    z, warm = mpc_step(qps.G[0], qps.h[0], qps.z_star[0], horizon, warm)
+    u0, plan, slack = horizon_plans(horizon, ref, ff, qps.free, z[None])
+    return u0[0], plan[0], slack[0], warm
 
 
 def test_mpc_step_structure():
     window = _linear_window()
+    ref, _ = window
     config = MpcConfig()
-    state = window.states[0].copy()
-    u0, plan, slack, _ = mpc_step(state, window, None,
-                                  _horizon(config, window))
-    assert plan.shape == window.states.shape
+    state = ref[0].copy()
+    u0, plan, slack, _ = _solve(state, window, None,
+                                _horizon(config, window), WIDE)
+    assert plan.shape == ref.shape
     assert np.allclose(plan[0], state, atol=1e-9)
     assert slack == pytest.approx(0.0, abs=1e-9)
     # the deadbeat velocity row needs positive input to keep moving, but the
     # input penalty lets the open-loop plan sag behind the reference a little
     assert 0.0 < u0[0] < 10.0
-    assert np.abs(plan[:, 0] - window.states[:, 0]).max() <= 0.5
+    assert np.abs(plan[:, 0] - ref[:, 0]).max() <= 0.5
     assert plan[-1, 0] > plan[0, 0]
 
 
@@ -323,16 +355,15 @@ def test_mpc_step_matches_state_space_kkt():
     N, d = 4, 2
     nx, n_x = 2 * d, (N + 1) * 2 * d
     window = _curved_window(N)
+    ref, ff = window
     config = MpcConfig()
-    state = window.states[0] + np.array([0.3, -0.2, 0.5, 0.1])
+    state = ref[0] + np.array([0.3, -0.2, 0.5, 0.1])
     # far neighbour and wide boxes: rows present, none of them active
     far = np.tile([40.0, 40.0], (N + 1, 1))
-    hs = avoidance_halfspaces(window.states[:, :d], far,
+    hs = avoidance_halfspaces(ref[:, :d], far,
                               AvoidanceModel(axes=np.array([0.5, 0.5])))
-    boxes = _position_rows([None] * N, window,
-                           MpcConfig(boundary_tolerance=5.0))
-    u0, plan, slack, _ = mpc_step(state, window, hs,
-                                  _horizon(config, window), boxes)
+    u0, plan, slack, _ = _solve(state, window, hs, _horizon(config, window),
+                                5.0)
 
     # independent oracle: the uncondensed QP over z = [x~_0..x~_N,
     # u~_0..u~_{N-1}] with the error dynamics as equalities, one KKT solve
@@ -345,19 +376,18 @@ def test_mpc_step_matches_state_space_kkt():
     Aeq = np.zeros((n_x, n))
     beq = np.zeros(n_x)
     Aeq[:nx, :nx] = np.eye(nx)
-    beq[:nx] = window.states[0] - state
+    beq[:nx] = ref[0] - state
     for k in range(N):
         rows = slice((k + 1) * nx, (k + 2) * nx)
         Aeq[rows, (k + 1) * nx:(k + 2) * nx] = np.eye(nx)
         Aeq[rows, k * nx:(k + 1) * nx] = -dyn.A
         Aeq[rows, n_x + k * d:n_x + (k + 1) * d] = -dyn.B
-        beq[rows] = (window.states[k + 1] - dyn.A @ window.states[k]
-                     - dyn.B @ window.inputs[k])
+        beq[rows] = ref[k + 1] - dyn.A @ ref[k] - dyn.B @ ff[k]
     K = np.block([[2.0 * np.diag(weights), Aeq.T],
                   [Aeq, np.zeros((n_x, n_x))]])
     z = np.linalg.solve(K, np.concatenate([np.zeros(n), beq]))[:n]
-    assert np.abs(u0 - (window.inputs[0] - z[n_x:n_x + d])).max() <= 1e-9
-    expected = window.states - z[:n_x].reshape(N + 1, nx)
+    assert np.abs(u0 - (ff[0] - z[n_x:n_x + d])).max() <= 1e-9
+    expected = ref - z[:n_x].reshape(N + 1, nx)
     assert np.abs(plan - expected).max() <= 1e-9
     assert slack == pytest.approx(0.0, abs=1e-12)
 
@@ -365,14 +395,15 @@ def test_mpc_step_matches_state_space_kkt():
 def test_mpc_step_holds_active_rows(monkeypatch):
     N, d = 6, 2
     window = _curved_window(N)
+    ref = window[0]
     config = MpcConfig(boundary_tolerance=0.2)
-    state = window.states[0] + np.array([0.15, 0.0, 0.0, 0.0])
+    state = ref[0] + np.array([0.15, 0.0, 0.0, 0.0])
     # a neighbour flying 0.6 m beside the reference, inside the 1 m ellipse
-    neighbor = window.states[:, :d] + np.array([0.0, 0.6])
-    hs = avoidance_halfspaces(window.states[:, :d], neighbor,
+    neighbor = ref[:, :d] + np.array([0.0, 0.6])
+    hs = avoidance_halfspaces(ref[:, :d], neighbor,
                               AvoidanceModel(axes=np.array([0.5, 0.5])))
-    boxes = _position_rows([None] * N, window, config)
     horizon = _horizon(config, window)
+    eps = config.boundary_tolerance
     solves = []
     kkt_solve = trajopt._kkt_solve
 
@@ -381,18 +412,17 @@ def test_mpc_step_holds_active_rows(monkeypatch):
         return kkt_solve(*args)
 
     monkeypatch.setattr(trajopt, "_kkt_solve", counted)
-    u0, plan, slack, warm = mpc_step(state, window, hs, horizon, boxes)
+    u0, plan, slack, warm = _solve(state, window, hs, horizon, eps)
     cold = len(solves)
     assert cold > 1
     # warm-started from its own final working set, one KKT solve suffices
-    u0_w, plan_w, _, warm_w = mpc_step(state, window, hs, horizon, boxes,
-                                       warm)
+    u0_w, plan_w, _, warm_w = _solve(state, window, hs, horizon, eps, warm)
     assert len(solves) == cold + 1 and warm_w == warm
     assert np.array_equal(u0_w, u0) and np.array_equal(plan_w, plan)
     # a stale set pinning both bounds of one input fails its first solve
     # and is dropped for a cold start
-    u0_s, plan_s, _, _ = mpc_step(state, window, hs, horizon, boxes,
-                                  (warm[0], [0, 1]))
+    u0_s, plan_s, _, _ = _solve(state, window, hs, horizon, eps,
+                                (warm[0], [0, 1]))
     assert len(solves) == 2 * cold + 2
     assert np.abs(u0_s - u0).max() <= 1e-12
     assert np.abs(plan_s - plan).max() <= 1e-12
@@ -403,9 +433,8 @@ def test_mpc_step_holds_active_rows(monkeypatch):
     margin = (hs.normals[0, 1:] * p).sum(axis=1) - hs.offsets[0, 1:]
     assert margin.min() >= -slack - 1e-8
     assert slack > 1e-3          # the avoidance rows bind and use slack
-    ref = window.states[1:, :d]
-    assert np.abs(p - ref).max() <= config.boundary_tolerance + 1e-8
-    assert np.abs(p - ref).max() >= config.boundary_tolerance - 1e-8
+    assert np.abs(p - ref[1:, :d]).max() <= eps + 1e-8
+    assert np.abs(p - ref[1:, :d]).max() >= eps - 1e-8
 
 
 def test_mpc_step_respects_input_limit():
@@ -414,8 +443,8 @@ def test_mpc_step_respects_input_limit():
     # reference already holds the goal at 2; the robot sits at 0
     window = _window(traj, scaling, 100, 10, 0.1)
     config = MpcConfig(input_limit=0.5)
-    u0, plan, slack, _ = mpc_step(np.array([0.0, 0.0]), window, None,
-                                  _horizon(config, window))
+    u0, plan, slack, _ = _solve(np.array([0.0, 0.0]), window, None,
+                                _horizon(config, window), WIDE)
     assert u0[0] == pytest.approx(0.5, abs=1e-8)
     assert slack == pytest.approx(0.0, abs=1e-9)
 
@@ -465,21 +494,160 @@ def test_simulate_factors_the_horizon_hessian_once(monkeypatch):
 
 
 def test_position_rows_switch_to_box_on_boundary():
+    # tube rows hold a . p_k <= b in absolute position: the square's
+    # facets at step 1, whose reference is interior, and a box of
+    # half-width 0.5 at step 2, whose reference sits on a facet
     square = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
     rows = hull_inequalities(square)
-    states = np.zeros((3, 4))
-    states[1, :2] = [2.0, 2.0]      # interior reference
-    states[2, :2] = [4.0, 2.0]      # reference on the facet
-    window_like = type("W", (), {})()
-    window_like.states = states
-    window_like.inputs = np.zeros((3, 2))
-    config = MpcConfig(boundary_tolerance=0.5)
-    out = _position_rows([rows, rows], window_like, config)
-    assert out[0] is rows
-    A_box, b_box = out[1]
-    assert A_box.shape == (4, 2)
-    # the box is centered on the reference with half-width 0.5
-    assert np.allclose(b_box, [4.5, 2.5, -3.5, -1.5])
+    config = MpcConfig(horizon=2, boundary_tolerance=0.5)
+    horizon = horizon_qp(config, 2, 2)
+    ref = np.zeros((1, 3, 4))
+    ref[0, 1, :2] = [2.0, 2.0]
+    ref[0, 2, :2] = [4.0, 2.0]
+    ff = np.zeros((1, 3, 2))
+    state = np.array([[1.5, 2.0, 3.0, -1.0]])
+    none = Halfspaces(np.zeros((1, 0, 3, 2)), np.zeros((1, 0, 3)))
+    qps = tick_qps(horizon, ref, ff, state, none, [rows, rows], 0.5)
+    G, h = qps.G[0], qps.h[0]
+    tube = slice(horizon.G_bounds.shape[0], None)
+    assert G[tube].shape[0] == 4 + 4
+    rng = np.random.default_rng(4)
+    for z in rng.normal(size=(5, G.shape[1])):
+        _, plan, _ = horizon_plans(horizon, ref, ff, qps.free, z[None])
+        p1, p2 = plan[0, 1, :2], plan[0, 2, :2]
+        residual = (G @ (z - qps.z_star[0]) - h)[tube]
+        box = np.concatenate([p2 - [4.5, 2.5], [3.5, 1.5] - p2])
+        assert np.allclose(residual, np.concatenate([rows[0] @ p1 - rows[1],
+                                                     box]), atol=1e-12)
+
+
+def _tick_by_robot(horizon, ref, ff, state, hs, sections, tolerance):
+    """Reference per-robot assembly of one robot's horizon QP, row by row
+    as tick_qps orders them: the shifted (G, h) and z_star."""
+    A, B, S = horizon.A, horizon.B, horizon.S
+    N, d = horizon.steps, B.shape[1]
+    n_u = N * d
+    nz = n_u + N + 1
+    drift = ref[1:] - ref[:-1] @ A.T - ff[:-1] @ B.T
+    F = np.empty((N + 1, 2 * d))
+    F[0] = ref[0] - state
+    for k in range(N):
+        F[k + 1] = A @ F[k] + drift[k]
+    L_u = horizon.L_inv[:n_u, :n_u]
+    grad = S.reshape(-1, n_u).T @ (horizon.weights * F).ravel()
+    z_star = np.zeros(nz)
+    z_star[:n_u] = -2.0 * (L_u.T @ (L_u @ grad))
+    u_ref = ff[:N].ravel()
+    G_parts = [horizon.G_bounds]
+    h_parts = [(horizon.input_limit
+                + np.column_stack([u_ref, -u_ref])).ravel(), np.zeros(N + 1)]
+    S_pos = S[1:, :d]
+    p_ff = ref[1:, :d] - F[1:, :d]
+    normals = hs.normals[:, 1:]
+    G_av = np.zeros((normals.shape[0], N, nz))
+    G_av[..., :n_u] = np.einsum("jkd,kdu->jku", normals, S_pos)
+    G_av[:, np.arange(N), n_u + 1 + np.arange(N)] = -1.0
+    G_parts.append(G_av.reshape(-1, nz))
+    h_parts.append((np.einsum("jkd,kd->jk", normals, p_ff)
+                    - hs.offsets[:, 1:]).ravel())
+    box_A = np.vstack([np.eye(d), -np.eye(d)])
+    for k in range(N):
+        p_d, rows = ref[k + 1, :d], sections[k]
+        if rows is None or _margin(rows, p_d) <= mpcsim._BOUNDARY_TOL:
+            rows = (box_A, np.concatenate([p_d + tolerance,
+                                           tolerance - p_d]))
+        a, b = rows
+        G_k = np.zeros((b.size, nz))
+        G_k[:, :n_u] = -a @ S_pos[k]
+        G_parts.append(G_k)
+        h_parts.append(b - a @ p_ff[k])
+    G = np.vstack(G_parts)
+    return G, np.concatenate(h_parts) - G @ z_star, z_star
+
+
+def test_tick_qps_match_the_per_robot_assembly(monkeypatch):
+    # a triangular tube that shrinks along its length; interior members
+    # at off-lattice weights take facet rows, a vertex member box rows
+    xs = np.linspace(0.0, 12.0, 7)[:, None]
+    shrink = 1.0 - xs / 24.0
+    corners = np.array([[0.0, -2.0], [0.0, 2.0], [-1.5, 0.0]])
+    waypoints = np.array([np.hstack([xs + c[0] * shrink, c[1] * shrink])
+                          for c in corners])
+    pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
+                         Terminal(waypoints[:, -1, :]), np.arange(3))
+    tube = tube_from_waypoints(
+        pairs, waypoints, TrajectoryConfig(segments=6, corridor_mode="none"))
+    thetas = np.array([[0.55, 0.3, 0.15], [0.2, 0.47, 0.33],
+                       [0.31, 0.12, 0.57], [1.0, 0.0, 0.0]])
+    starts = thetas @ pairs.starts.vertices
+    # at 1.5 m/s and above, solve_qp gives up on a feasible QP of robot 2
+    # whose most violated row is a combination of its working rows
+    config = MpcConfig(reference_speed=1.0)
+    ticks, calls = [], []
+    assemble, step = mpcsim.tick_qps, mpcsim.mpc_step
+
+    def recorded_tick(*args):
+        ticks.append((args, assemble(*args)))
+        return ticks[-1][1]
+
+    def recorded_step(G, h, z_star, horizon, warm=None):
+        z, out = step(G, h, z_star, horizon, warm)
+        calls.append((warm, out, len(solves)))
+        return z, out
+
+    solves = []
+    kkt_solve = trajopt._kkt_solve
+
+    def counted(*args):
+        solves.append(1)
+        return kkt_solve(*args)
+
+    monkeypatch.setattr(mpcsim, "tick_qps", recorded_tick)
+    monkeypatch.setattr(mpcsim, "mpc_step", recorded_step)
+    monkeypatch.setattr(trajopt, "_kkt_solve", counted)
+    log = simulate(tube, starts, config,
+                   AvoidanceModel(axes=np.array([0.1, 0.1])), time_limit=6.0)
+    M = len(starts)
+    # one mpc_step call per robot per tick
+    assert len(ticks) == log.inputs.shape[0]
+    assert len(calls) == M * len(ticks)
+    monkeypatch.setattr(trajopt, "_kkt_solve", kkt_solve)
+    mixed = False
+    for t, ((horizon, ref, ff, state, hs, sections, tol), qps) in enumerate(
+            ticks):
+        counts = {G.shape[0] for G in qps.G}
+        mixed |= len(counts) > 1
+        for i in range(M):
+            G, h, z_star = _tick_by_robot(
+                horizon, ref[i], ff[i], state[i],
+                Halfspaces(hs.normals[i], hs.offsets[i]), sections, tol)
+            assert qps.G[i].shape == G.shape
+            assert np.abs(qps.G[i] - G).max() <= 1e-12
+            assert np.abs(qps.h[i] - h).max() <= 1e-12 * max(
+                1.0, np.abs(h).max())
+            assert np.abs(qps.z_star[i] - z_star).max() <= 1e-12 * max(
+                1.0, np.abs(z_star).max())
+            # the same QP from the same warm start takes the same KKT
+            # solves to the same working set
+            warm, out, solved = calls[t * M + i]
+            working = (warm[1] if warm is not None and warm[0] == G.shape[0]
+                       else None)
+            sol = trajopt.solve_qp(
+                trajopt.CostSpec(horizon.H, 0),
+                trajopt.EqualitySystem(np.zeros((0, G.shape[1])),
+                                       np.zeros(0)),
+                trajopt.AffineInequalities(G, h), working=working,
+                factor=horizon.L_inv)
+            previous = calls[t * M + i - 1][2] if t * M + i else 0
+            assert out == (G.shape[0], sol.working)
+            assert sol.iterations == solved - previous
+    # the robots of one tick mixed facet and box rows: the vertex robot
+    # takes a box (4 rows) at every step, others a triangle's 3 facets
+    N = config.horizon
+    all_box = 2 * 2 * N + (M - 1) * N + horizon.G_bounds.shape[0]
+    assert mixed
+    assert ticks[0][1].G[3].shape[0] == all_box
+    assert min(G.shape[0] for _, qps in ticks for G in qps.G) < all_box
 
 
 def straight_pair_tube():
@@ -531,6 +699,13 @@ def test_simulate_rejects_start_outside_terminal():
     with pytest.raises(StartOutsideTerminal):
         simulate(tube, [[5.0, 5.0]], MpcConfig(),
                  AvoidanceModel(axes=np.array([0.3, 0.3])))
+
+
+def test_simulate_runs_an_empty_swarm():
+    log = simulate(straight_pair_tube(), np.zeros((0, 2)), MpcConfig(),
+                   AvoidanceModel(axes=np.array([0.3, 0.3])), time_limit=1.0)
+    assert log.robots == 0 and log.inputs.shape == (1, 0, 2)
+    assert compute_metrics(log, 1.0, 0.2).arrival_rate == 1.0
 
 
 def _hand_log():

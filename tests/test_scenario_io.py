@@ -227,6 +227,7 @@ def test_sections_must_be_objects(tmp_path, path):
      r"planner.polynomial.cost_derivative must be in \[1, order\]"),
     ("planner.corridor.width", 0.0, "planner.corridor.width must be positive"),
     ("controller.horizon", 1, "controller.horizon must be at least 2"),
+    ("controller.horizon", 51, "controller.horizon must be at most 50"),
     ("controller.timestep", 0.0, "controller.timestep must be positive"),
     ("controller.boundary_tolerance", 0.0,
      "controller.boundary_tolerance must be positive"),
@@ -256,6 +257,12 @@ def test_sections_must_be_objects(tmp_path, path):
 def test_settings_out_of_range_are_rejected(tmp_path, path, value, match):
     expect_invalid(tmp_path, set_key(minimal_doc(), path, value),
                    rf"^{match}$")
+
+
+@pytest.mark.parametrize("horizon", [2, 50])
+def test_horizon_bounds_are_inclusive(tmp_path, horizon):
+    doc = set_key(minimal_doc(), "controller.horizon", horizon)
+    assert load_scenario(write_doc(tmp_path, doc)).mpc.horizon == horizon
 
 
 def test_zero_weights_stay_valid(tmp_path):
