@@ -16,12 +16,12 @@ from .pathfinder import (ObstacleSet, RrtConfig, equalize_waypoints,
                          find_homotopic_paths, find_path, simplify_path)
 from .scenario_io import (Scenario, load_scenario, load_tube, save_log,
                           save_metrics, save_tube)
-from .trajopt import (PiecewisePolynomial, QpSolution, assemble_cost,
-                      assemble_equality, basis_row, evaluate, solve_qp)
-from .tube import (OptimalVirtualTube, TrajectoryConfig, build_tube,
-                   combination_benchmark, cross_section, direct_member_solve,
-                   member_trajectory, tube_from_waypoints,
-                   verify_member_optimality)
+from .trajopt import (PiecewisePolynomial, assemble_cost, assemble_equality,
+                      basis_row, evaluate, solve_qp)
+from .tube import (OptimalVirtualTube, QpSolution, TrajectoryConfig,
+                   build_tube, combination_benchmark, cross_section,
+                   direct_member_solve, member_trajectory,
+                   tube_from_waypoints, verify_member_optimality)
 
 __version__ = "0.1.0"
 

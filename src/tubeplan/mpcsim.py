@@ -26,8 +26,8 @@ dynamics, the horizon and the weights, so ``simulate`` builds it and its
 Cholesky factor once (``HorizonQp``) for every robot and tick.  Each
 active-set step then solves its KKT system through that factor by the
 range-space method (Nocedal & Wright, Numerical Optimization, 16.2): one
-small QR of the factored working rows.  The basis QPs, whose Hessian is
-singular, use the null-space method of the same section instead.
+small QR of the factored working rows.  The basis QPs take the same
+path once ``trajopt.reduce_equalities`` has removed their equality rows.
 
 Each robot's active-set loop is warm-started from the working set its own
 QP ended with on the previous tick (Ferreau, Bock & Diehl, IJRNC 2008):
@@ -49,8 +49,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import PointOutsideHull, barycentric_weights
 from .knots import KnotVector
-from .trajopt import (AffineInequalities, CostSpec, EqualitySystem,
-                      Infeasible, RankDeficient, evaluate_grid, solve_qp)
+from .trajopt import Infeasible, RankDeficient, evaluate_grid, solve_qp
 from .tube import OptimalVirtualTube, check_weights
 
 # distance-to-facet threshold separating interior from boundary robots
@@ -330,7 +329,6 @@ class HorizonQp:
     B: np.ndarray          # (2 d, d)
     S: np.ndarray          # (N + 1, 2 d, N d) input errors to error states
     weights: np.ndarray    # (N + 1, 2 d) stage weights, terminal scaled
-    H: np.ndarray          # (nz, nz) Hessian over z = [u~, s]
     L_inv: np.ndarray      # inverse of the lower Cholesky factor of 2 H
     G_bounds: np.ndarray   # input-limit rows, then slack-sign rows
     G_box: np.ndarray      # (N, 2 d, nz) +-eps_c box rows of steps 1..N
@@ -379,7 +377,7 @@ def horizon_qp(config: MpcConfig, d: int, N: int) -> HorizonQp:
     G_box = np.zeros((N, 2 * d, nz))
     G_box[:, :d, :n_u] = -S[1:, :d]
     G_box[:, d:, :n_u] = S[1:, :d]
-    return HorizonQp(A, B, S, weights, H, L_inv, G_bounds, G_box,
+    return HorizonQp(A, B, S, weights, L_inv, G_bounds, G_box,
                      config.input_limit)
 
 
@@ -502,12 +500,8 @@ def mpc_step(G: np.ndarray, h: np.ndarray, z_star: np.ndarray,
     previous call; its working set seeds the QP when the row count of
     this call's inequalities is the same, else the QP starts cold.
     """
-    nz = G.shape[1]
     working = warm[1] if warm is not None and warm[0] == G.shape[0] else None
-    sol = solve_qp(CostSpec(horizon.H, 0),
-                   EqualitySystem(np.zeros((0, nz)), np.zeros(0)),
-                   AffineInequalities(G, h), working=working,
-                   factor=horizon.L_inv)
+    sol = solve_qp(horizon.L_inv, G, h, working)
     return sol.x + z_star, (G.shape[0], sol.working)
 
 

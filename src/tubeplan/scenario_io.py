@@ -417,10 +417,9 @@ def load_tube(path) -> OptimalVirtualTube:
         raise ValidationError(f"config.segments is {cfg.segments}, but the "
                               f"knots span {knots.segments} segments")
     try:
-        systems, cost, corridor = tube_structure(waypoints, knots, cfg)
+        A, rhs, cost, corridor = tube_structure(waypoints, knots, cfg)
     except ValueError as err:
         raise ValidationError(f"tube structure: {err}") from err
-    A = systems[0].A
     rows, cols = A.shape
     if (basis_x.shape != (pairs.count, cols)
             or basis_b.shape != (pairs.count, rows)):
@@ -433,16 +432,15 @@ def load_tube(path) -> OptimalVirtualTube:
         raise ValidationError(
             f"basis_x misses A x = basis_b by {residual:.3e} "
             f"(tolerance {_BASIS_TOL:.0e})")
-    drift = float(np.abs(np.array([s.b for s in systems]) - basis_b).max())
+    drift = float(np.abs(rhs - basis_b).max())
     if drift > _BASIS_TOL:
         raise ValidationError(
             f"basis_b differs from the right-hand sides rebuilt from the "
             f"waypoints by {drift:.3e} (tolerance {_BASIS_TOL:.0e})")
     return OptimalVirtualTube(
         pairs=pairs, config=cfg, knots=knots, chord_total=chord_total,
-        waypoints=waypoints, A=A, blocks=systems[0].blocks,
-        basis_x=basis_x, basis_b=basis_b, cost=cost, corridor=corridor,
-        solutions=None, qp_solves=qp_solves)
+        waypoints=waypoints, A=A, basis_x=basis_x, basis_b=basis_b,
+        cost=cost, corridor=corridor, solutions=None, qp_solves=qp_solves)
 
 
 def save_log(log: SimLog, path) -> None:

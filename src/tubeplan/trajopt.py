@@ -1,4 +1,4 @@
-"""Minimum-energy piecewise-polynomial trajectories via equality/inequality QP.
+"""Minimum-energy piecewise-polynomial trajectories and their QPs.
 
 A trajectory with m segments in d dimensions stacks its coefficients into
 one vector x of length (order + 1) * m * d, segment-major.  Segment j spans
@@ -10,15 +10,19 @@ parameterization; Richter, Bry & Roy, ISRR 2013).  The planning problem
 minimises the integral of the squared k_r-th derivative, x^T H x, subject
 to interpolation/continuity equalities A x = b and optional corridor
 inequalities G x <= h.
+
+``solve_qp`` takes one form, min y^T H y subject to G y <= h with H
+positive definite.  A planning problem reaches it through
+``reduce_equalities``: x = x_u + Z y, with x_u its minimiser on A x = b
+and Z a basis of null(A), leaves y^T (Z^T H Z) y over (G Z) y <= h - G x_u.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (LinAlgError, cho_factor, cho_solve, qr,
-                          solve_triangular)
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .knots import KnotVector
 
@@ -57,7 +61,7 @@ class EqualitySystem:
 
     A: np.ndarray
     b: np.ndarray
-    blocks: dict = field(default_factory=dict)
+    blocks: dict
 
 
 @dataclass
@@ -65,7 +69,6 @@ class CostSpec:
     """Energy Hessian for objective x^T H x."""
 
     H: np.ndarray
-    deriv_order: int
 
 
 @dataclass
@@ -74,10 +77,6 @@ class AffineInequalities:
 
     G: np.ndarray
     h: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.G.shape[0]
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         return self.G @ x - self.h
@@ -176,8 +175,7 @@ def assemble_cost(knots: KnotVector, deriv_order: int, order: int,
     # rows and columns below order k are zero, where e may not be positive
     S0 = np.outer(falling, falling) / np.maximum(e, 1)
     scale = np.diff(knots.u) ** (1 - 2 * deriv_order)
-    return CostSpec(np.kron(np.diag(scale), np.kron(S0, np.eye(dim))),
-                    deriv_order)
+    return CostSpec(np.kron(np.diag(scale), np.kron(S0, np.eye(dim))))
 
 
 @dataclass
@@ -226,173 +224,173 @@ def corridor_constraints(waypoints, knots: KnotVector, spec: CorridorSpec,
     return AffineInequalities(G, h)
 
 
-@dataclass
-class QpSolution:
-    x: np.ndarray
-    objective: float
-    eq_residual: float
-    ineq_violation: float
-    kkt_stationarity: float
-    active_set: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    working: list       # final working set, in the order rows joined it
-    iterations: int     # KKT solves made
+@dataclass(frozen=True)
+class ReducedEqualities:
+    """Equality rows A x = b removed once for every b (the null-space
+    method; Nocedal & Wright, Numerical Optimization, 16.2)."""
+
+    A: np.ndarray
+    H: np.ndarray
+    Q1: np.ndarray         # A^T P = Q1 R, a pivoted QR
+    R: np.ndarray
+    perm: np.ndarray       # the pivots P
+    Z: np.ndarray          # orthonormal basis of null(A)
+    factor: np.ndarray     # inverse lower Cholesky factor of Z^T (2 H) Z
+
+    def minimiser(self, b: np.ndarray) -> np.ndarray:
+        """The minimiser x_u of x^T H x subject to A x = b."""
+        x = self.Q1 @ solve_triangular(self.R, b[self.perm], trans="T",
+                                       check_finite=False)
+        F = self.factor
+        return x - self.Z @ (F.T @ (F @ (self.Z.T @ (2.0 * self.H @ x))))
+
+    def multipliers(self, grad: np.ndarray) -> np.ndarray:
+        """lam with A^T lam = -grad."""
+        lam = np.empty(self.R.shape[0])
+        lam[self.perm] = -solve_triangular(self.R, self.Q1.T @ grad,
+                                           check_finite=False)
+        return lam
 
 
-# termination tolerances for the active-set loop
-_FEAS_TOL = 1e-8
-_DUAL_TOL = 1e-10
+def reduce_equalities(A: np.ndarray, H: np.ndarray) -> ReducedEqualities:
+    """Remove the rows A x = b of min x^T H x once for every b.
 
-
-def _kkt_solve(H: np.ndarray, A: np.ndarray, b: np.ndarray, factor=None):
-    """Minimiser x of x^T H x subject to A x = b, and the multipliers lam
-    of the stationarity condition 2 H x + A^T lam = 0.
-
-    Without a factor this is the null-space method (Nocedal & Wright,
-    Numerical Optimization, 16.2), which tolerates a singular H as long as
-    it is positive definite on null(A).  The pivoted QR A^T P = Q R splits
-    the variables into range(A^T) = span Q_1 and null(A) = span Q_2:
-    x_0 = Q_1 R^-T P^T b meets the rows, the Cholesky factor of the reduced
-    Hessian Q_2^T (2 H) Q_2 gives the step along Q_2 that minimises the
-    cost, and lam = -P R^-1 Q_1^T (2 H x).  A diagonal entry of R at or
-    below 1e-12 of the largest marks a dependent row, and a reduced
+    H need only be positive definite on null(A).  A diagonal entry of R
+    at or below 1e-12 of the largest marks a dependent row, and a reduced
     Hessian that is not positive definite, or whose Cholesky diagonal
-    falls to 1e-6 of its largest (a relative pivot of 1e-12), a singular
-    KKT system; both raise RankDeficient.
-
-    factor, when given, is L^-1 for the lower Cholesky factor L L^T = 2 H
-    of a positive definite H; then the range-space method applies (same
-    section): with V = L^-1 A^T = Q R, the multipliers are -R^-1 R^-T b
-    and x = L^-T Q R^-T b.  R^T R = A (2 H)^-1 A^T is the Schur
-    complement, so a diagonal entry of R below 1e-6 of the largest is a
-    relative Schur pivot below 1e-12.
+    falls to 1e-6 of its largest, a singular KKT system; both raise
+    RankDeficient.
     """
-    n = H.shape[0]
-    r = A.shape[0]
+    r, n = A.shape
     if r > n:
         raise RankDeficient(f"{r} rows on {n} variables")
-    if factor is not None:
-        if r == 0:
-            return np.zeros(n), np.zeros(0)
-        Q, R = np.linalg.qr(factor @ A.T)
-        diag = np.abs(np.diag(R))
-        if diag.min() <= 1e-6 * diag.max():
-            k = int(diag.argmin())
-            raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {k} of {r}")
-        w, _ = dtrtrs(R, b, trans=1)
-        lam, _ = dtrtrs(R, w)
-        return factor.T @ (Q @ w), -lam
     Q, R, perm = qr(A.T, pivoting=True)
     diag = np.abs(np.diag(R))
     if r and diag.min() <= 1e-12 * diag.max():
         k = int(diag.argmin())
         raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {perm[k]} of {r}")
-    R, Q1, Q2 = R[:r], Q[:, :r], Q[:, r:]
-    x = Q1 @ solve_triangular(R, b[perm], trans="T", check_finite=False)
-    H2 = 2.0 * H
+    Z = Q[:, r:]
     try:
-        reduced = cho_factor(Q2.T @ H2 @ Q2)
-        pivots = np.abs(np.diag(reduced[0]))
-        if pivots.size and pivots.min() <= 1e-6 * pivots.max():
-            raise LinAlgError
-    except LinAlgError:
+        L = np.linalg.cholesky(Z.T @ (2.0 * H) @ Z)
+        if L.size and L.diagonal().min() <= 1e-6 * L.diagonal().max():
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
         raise RankDeficient(
             "reduced Hessian is not positive definite on null(A)") from None
-    x = x - Q2 @ cho_solve(reduced, Q2.T @ (H2 @ x))
-    lam = np.empty(r)
-    lam[perm] = -solve_triangular(R, Q1.T @ (H2 @ x), check_finite=False)
-    return x, lam
+    # not solve_triangular(L, I), which takes milliseconds on 2 BLAS threads
+    factor = dtrtri(L, lower=1)[0] if L.size else L
+    return ReducedEqualities(A, H, Q[:, :r], R[:r], perm, Z, factor)
 
 
-def solve_qp(cost: CostSpec, eq: EqualitySystem,
-             ineq: AffineInequalities | None = None,
-             max_iter: int | None = None,
-             working: list | None = None, factor=None) -> QpSolution:
-    """Minimise x^T H x subject to A x = b and optionally G x <= h.
+@dataclass
+class ActiveSetSolution:
+    x: np.ndarray
+    mu: np.ndarray      # one multiplier per row of G
+    working: list       # final working set, in the order rows joined it
+    iterations: int     # KKT solves made
 
-    Equality-only problems solve one saddle-point KKT system.  Inequalities
-    are handled by an active-set loop: solve with the working set pinned as
-    equalities, drop rows with negative multipliers, add the most violated
-    row, repeat.  The Hessian may be singular as long as it is positive
-    definite on the constraint null space.
 
-    working optionally names inequality rows to start from, typically the
-    final working set of a neighbouring problem (a warm start).  When a
-    KKT system of a warm-started loop turns out singular, the warm set is
-    dropped and the loop starts again from the empty set, so a stale warm
-    set is never reported as Infeasible.
+# termination tolerances for the active-set loop; FEAS_TOL also bounds
+# the residuals a solution may keep
+FEAS_TOL = 1e-8
+_DUAL_TOL = 1e-10
 
-    factor, for a positive definite Hessian only, is the inverse lower
-    Cholesky factor of 2 H that ``_kkt_solve`` takes; every KKT system of
-    the loop is then solved through it by the range-space method instead
-    of the null-space method.
+
+def _kkt_solve(factor: np.ndarray, G_W: np.ndarray, h_W: np.ndarray):
+    """Minimiser x of x^T H x subject to G_W x = h_W, and the multipliers
+    mu of the stationarity condition 2 H x + G_W^T mu = 0, by the
+    range-space method (Nocedal & Wright, Numerical Optimization, 16.2).
+
+    factor is L^-1 for the lower Cholesky factor L L^T = 2 H.  With V =
+    L^-1 G_W^T = Q R, the multipliers are -R^-1 R^-T h_W and x = L^-T Q
+    R^-T h_W.  R^T R = G_W (2 H)^-1 G_W^T is the Schur complement, so a
+    diagonal entry of R at or below 1e-6 of the largest, a relative Schur
+    pivot of 1e-12, marks a dependent row and raises RankDeficient.
     """
-    H, A, b = cost.H, eq.A, eq.b
-    n = H.shape[0]
-    if max_iter is None:
-        max_iter = 100 * n
+    n, r = factor.shape[0], G_W.shape[0]
+    if r > n:
+        raise RankDeficient(f"{r} rows on {n} variables")
+    if r == 0:
+        return np.zeros(n), np.zeros(0)
+    Q, R = np.linalg.qr(factor @ G_W.T)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= 1e-6 * diag.max():
+        k = int(diag.argmin())
+        raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {k} of {r}")
+    w, _ = dtrtrs(R, h_W, trans=1)
+    mu, _ = dtrtrs(R, w)
+    return factor.T @ (Q @ w), -mu
+
+
+def _dual_step(G: np.ndarray, working: list, mu: np.ndarray):
+    """Make room for the last row of working, a combination sum r_j g_j
+    of the rows before it, whose multipliers are mu (Goldfarb & Idnani,
+    Math. Programming 27, 1983).
+
+    Of the rows with r_j > 0 the one with the smallest mu_j / r_j leaves,
+    and the others' multipliers move by that ratio t to mu - t r.  With
+    no r_j > 0 no point meets the new row and the working rows (Farkas'
+    lemma).  Returns the new working set and the multipliers of all its
+    rows but the last.
+    """
+    g, rows = working[-1], working[:-1]
+    r = np.linalg.lstsq(G[rows].T, G[g], rcond=None)[0]
+    up = np.flatnonzero(r > _DUAL_TOL * np.abs(r).max(initial=0.0))
+    if not up.size:
+        raise Infeasible("active inequality row dependent on existing "
+                         "constraints; no feasible point")
+    ratios = mu[up] / r[up]
+    j = int(up[np.argmin(ratios)])
+    mu = np.delete(mu - ratios.min() * r, j)
+    return rows[:j] + rows[j + 1:] + [g], mu
+
+
+def solve_qp(factor: np.ndarray, G: np.ndarray, h: np.ndarray,
+             working: list | None = None) -> ActiveSetSolution:
+    """Minimise x^T H x subject to G x <= h, where factor is the inverse
+    lower Cholesky factor of 2 H.
+
+    An active-set loop: solve with the working rows as equalities, drop
+    the row with the most negative multiplier, else add the most violated
+    row, and repeat, at most 100 times per variable.  An added row that
+    depends on the working rows takes the place of one (``_dual_step``).
+    working optionally names rows to start from (a warm start); a warm
+    set whose rows are dependent is dropped for the empty set, so a stale
+    warm set is never reported as Infeasible.
+    """
+    budget = 100 * max(factor.shape[0], 1)
     working = list(working or [])
-    warm = bool(working)
+    added = False           # whether the last change added a row
     iterations = 0
-    x = lam = mu_w = None
-    for _ in range(max_iter):
-        if working:
-            A_all = np.vstack([A, ineq.G[working]])
-            b_all = np.concatenate([b, ineq.h[working]])
-        else:
-            A_all, b_all = A, b
+    for _ in range(budget):
         iterations += 1
         try:
-            x, lam_all = _kkt_solve(H, A_all, b_all, factor)
+            x, mu = _kkt_solve(factor, G[working], h[working])
         except RankDeficient:
-            if warm:
-                warm, working = False, []
-                continue
-            if working:
-                raise Infeasible(
-                    "active inequality row dependent on existing constraints; "
-                    "no feasible point") from None
-            raise
-        lam = lam_all[:A.shape[0]]
-        mu_w = lam_all[A.shape[0]:]
-        if working and mu_w.size and mu_w.min() < -_DUAL_TOL:
-            drop = int(np.argmin(mu_w))
-            working.pop(drop)
+            if added:
+                working, mu = _dual_step(G, working, mu)
+            else:
+                working = []
             continue
-        if ineq is not None and ineq.rows:
-            res = ineq.residuals(x)
-            res[working] = 0.0
-            worst = int(np.argmax(res))
-            if res[worst] > _FEAS_TOL:
-                working.append(worst)
-                continue
+        if mu.size and mu.min() < -_DUAL_TOL:
+            working.pop(int(np.argmin(mu)))
+            added = False
+            continue
+        res = G @ x - h
+        res[working] = 0.0
+        if res.size and res.max() > FEAS_TOL:
+            working.append(int(np.argmax(res)))
+            added = True
+            continue
         break
     else:
-        raise MaxIterations(f"active set did not settle in {max_iter} steps")
-
-    mu = np.zeros(ineq.rows if ineq is not None else 0)
-    if working:
-        mu[working] = mu_w
-    eq_residual = float(np.abs(A @ x - b).max(initial=0.0))
-    if ineq is not None and ineq.rows:
-        res = ineq.residuals(x)
-        violation = float(max(res.max(), 0.0))
-        active = np.flatnonzero(res >= -_FEAS_TOL)
-        grad_ineq = ineq.G.T @ mu
-    else:
-        violation = 0.0
-        active = np.array([], dtype=int)
-        grad_ineq = 0.0
-    stationarity = float(np.abs(2.0 * H @ x + A.T @ lam + grad_ineq).max())
-    if eq_residual > _FEAS_TOL:
-        raise Infeasible(f"equality residual {eq_residual:.3e} after solve")
-    if violation > _FEAS_TOL:
+        raise MaxIterations(f"active set did not settle in {budget} steps")
+    violation = float((G @ x - h).max(initial=0.0))
+    if violation > FEAS_TOL:
         raise Infeasible(f"inequality violation {violation:.3e} after solve")
-    return QpSolution(x=x, objective=float(x @ H @ x),
-                      eq_residual=eq_residual, ineq_violation=violation,
-                      kkt_stationarity=stationarity, active_set=active,
-                      lam=lam, mu=mu, working=working, iterations=iterations)
+    full = np.zeros(G.shape[0])
+    full[working] = mu
+    return ActiveSetSolution(x, full, working, iterations)
 
 
 @dataclass

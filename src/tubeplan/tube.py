@@ -20,10 +20,11 @@ from .knots import (KnotVector, chord_length_knots, normalize_knots,
                     public_knots)
 from .pathfinder import (ObstacleSet, RrtConfig, equalize_waypoints,
                          find_homotopic_paths)
-from .trajopt import (AffineInequalities, CorridorSpec, CostSpec,
-                      EqualitySystem, PiecewisePolynomial, QpSolution,
-                      assemble_cost, assemble_equality, corridor_constraints,
-                      equality_rhs, evaluate_grid, solve_qp)
+from .trajopt import (FEAS_TOL, ActiveSetSolution, AffineInequalities,
+                      CorridorSpec, CostSpec, Infeasible, PiecewisePolynomial,
+                      ReducedEqualities, assemble_cost, assemble_equality,
+                      corridor_constraints, equality_rhs, evaluate_grid,
+                      reduce_equalities, solve_qp)
 
 CORRIDOR_MODES = ("strict", "none")
 
@@ -75,7 +76,6 @@ class OptimalVirtualTube:
     chord_total: float           # mean chord length before normalization
     waypoints: np.ndarray        # (q, m + 1, d) equalized waypoints
     A: np.ndarray                # shared equality matrix
-    blocks: dict
     basis_x: np.ndarray          # (q, n_t) stacked basis coefficients
     basis_b: np.ndarray          # (q, rows) stacked right-hand sides
     cost: CostSpec
@@ -121,24 +121,23 @@ def tube_structure(waypoints: np.ndarray, knots: KnotVector,
     """What every basis problem of a tube shares, from its (q, m + 1, d)
     waypoints, knots and settings.
 
-    Returns ``(systems, cost, corridor)``: one equality system per pair
-    (the matrix depends only on the knots and the polynomial settings, so
-    the systems differ only in their right-hand sides), the cost, and the
-    shared corridor rows, or None when ``corridor_mode`` is "none".
+    Returns ``(A, rhs, cost, corridor)``: the equality matrix, which
+    depends only on the knots and the polynomial settings, the (q, rows)
+    right-hand sides, one per pair, the cost, and the shared corridor
+    rows, or None when ``corridor_mode`` is "none".
 
     The corridor runs around the mean polyline.  Widths per segment grow
     by the largest perpendicular offset of any pair's waypoints from the
     mean chord, so each basis problem stays feasible while all problems
     share identical inequality rows.
     """
-    shared = assemble_equality(waypoints[0], knots, config.order,
-                               config.continuity)
-    systems = [EqualitySystem(shared.A, equality_rhs(p, config.continuity),
-                              shared.blocks) for p in waypoints]
+    A = assemble_equality(waypoints[0], knots, config.order,
+                          config.continuity).A
+    rhs = np.array([equality_rhs(p, config.continuity) for p in waypoints])
     cost = assemble_cost(knots, config.cost_derivative, config.order,
                          waypoints.shape[2])
     if config.corridor_mode == "none":
-        return systems, cost, None
+        return A, rhs, cost, None
     mean = waypoints.mean(axis=0)
     m = mean.shape[0] - 1
     dim = mean.shape[1]
@@ -156,7 +155,43 @@ def tube_structure(waypoints: np.ndarray, knots: KnotVector,
             offset = max(offset, np.abs(deltas @ P.T).max())
         widths[seg] = config.corridor_width + offset
     spec = CorridorSpec(widths, config.corridor_samples)
-    return systems, cost, corridor_constraints(mean, knots, spec, config.order)
+    return A, rhs, cost, corridor_constraints(mean, knots, spec, config.order)
+
+
+@dataclass
+class QpSolution(ActiveSetSolution):
+    """A QP with equality rows solved: x in the full coefficients."""
+
+    objective: float
+    eq_residual: float
+    ineq_violation: float
+    kkt_stationarity: float
+    active_set: np.ndarray
+    lam: np.ndarray
+
+
+def _solve_reduced(reduced: ReducedEqualities,
+                   corridor: AffineInequalities | None,
+                   b: np.ndarray) -> QpSolution:
+    """Minimise x^T H x subject to A x = b and the corridor rows, if any,
+    as x = x_u + Z w: x_u minimises on A x = b, and ``solve_qp`` finds w."""
+    x_u = reduced.minimiser(b)
+    G, h = ((np.zeros((0, x_u.size)), np.zeros(0)) if corridor is None
+            else (corridor.G, corridor.h))
+    sol = solve_qp(reduced.factor, G @ reduced.Z, h - G @ x_u)
+    x = x_u + reduced.Z @ sol.x
+    grad = 2.0 * reduced.H @ x + G.T @ sol.mu
+    lam = reduced.multipliers(grad)
+    res = G @ x - h
+    eq_residual = float(np.abs(reduced.A @ x - b).max(initial=0.0))
+    if eq_residual > FEAS_TOL:
+        raise Infeasible(f"equality residual {eq_residual:.3e} after solve")
+    return QpSolution(
+        x=x, objective=float(x @ reduced.H @ x), eq_residual=eq_residual,
+        ineq_violation=float(res.max(initial=0.0)),
+        kkt_stationarity=float(np.abs(grad + reduced.A.T @ lam).max()),
+        active_set=np.flatnonzero(res >= -FEAS_TOL), lam=lam, mu=sol.mu,
+        working=sol.working, iterations=sol.iterations)
 
 
 def tube_from_waypoints(pairs: OrderPairSet, waypoints,
@@ -164,19 +199,18 @@ def tube_from_waypoints(pairs: OrderPairSet, waypoints,
     """Solve the q basis QPs of a tube whose equalized paths are given.
 
     The shared knot vector is the normalized mean of the per-pair
-    chord-length knots.
+    chord-length knots.  One reduction of A serves every basis QP.
     """
     waypoints = np.asarray(waypoints, dtype=float)
     shared_u = public_knots([chord_length_knots(p) for p in waypoints])
     knots = normalize_knots(shared_u)
-    systems, cost, corridor = tube_structure(waypoints, knots, config)
-    solutions = [solve_qp(cost, system, corridor) for system in systems]
+    A, rhs, cost, corridor = tube_structure(waypoints, knots, config)
+    reduced = reduce_equalities(A, cost.H)
+    solutions = [_solve_reduced(reduced, corridor, b) for b in rhs]
     return OptimalVirtualTube(
         pairs=pairs, config=config, knots=knots,
-        chord_total=shared_u.total, waypoints=waypoints, A=systems[0].A,
-        blocks=systems[0].blocks,
-        basis_x=np.array([s.x for s in solutions]),
-        basis_b=np.array([s.b for s in systems]), cost=cost,
+        chord_total=shared_u.total, waypoints=waypoints, A=A,
+        basis_x=np.array([s.x for s in solutions]), basis_b=rhs, cost=cost,
         corridor=corridor, solutions=solutions, qp_solves=len(solutions))
 
 
@@ -208,11 +242,11 @@ def member_trajectory(tube: OptimalVirtualTube, theta) -> PiecewisePolynomial:
 
 
 def direct_member_solve(tube: OptimalVirtualTube, theta) -> QpSolution:
-    """Solve the member's QP from scratch (reference for verification),
-    with the tube's shared corridor rows, if it has any."""
+    """Solve the member's QP from scratch, its reduction of A included
+    (the reference for verification), with the tube's corridor rows."""
     b = combine_rhs(tube, theta)
-    eq = EqualitySystem(tube.A, b, tube.blocks)
-    return solve_qp(tube.cost, eq, tube.corridor)
+    return _solve_reduced(reduce_equalities(tube.A, tube.cost.H),
+                          tube.corridor, b)
 
 
 @dataclass
@@ -328,7 +362,8 @@ def combination_benchmark(tube: OptimalVirtualTube, counts=(10, 100, 1000),
     """Wall-clock cost of combining members vs solving them directly.
 
     member_seconds is the per-member cost of the convex combination;
-    direct_seconds is the per-solve cost of a fresh KKT factorization.
+    direct_seconds is the per-solve cost of ``direct_member_solve``,
+    which reduces the equality rows and solves the QP from scratch.
     """
     rng = np.random.default_rng(seed)
     rows = []

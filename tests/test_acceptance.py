@@ -293,6 +293,20 @@ def test_criterion_7_twenty_robots_fly_the_tetrahedral_tube(tetra):
            f"{worst_obj:.2e} (<= 1e-8)")
 
 
+def test_tetrahedral_tube_flies_at_horizon_14(tetra):
+    # at horizon 14 the first QPs of robots 10, 11, 13 and 16 add a row
+    # that depends on their working rows; the dual step makes room for it
+    scenario, tube = tetra
+    config = dataclasses.replace(scenario.mpc, horizon=14)
+    log = simulate(tube, scenario.robot_starts, config, scenario.avoidance,
+                   time_limit=scenario.time_limit,
+                   goal_radius=scenario.goal_radius)
+    metrics = compute_metrics(log, scenario.time_limit, scenario.goal_radius)
+    assert metrics.arrival_rate == 1.0
+    assert (min_pairwise_distance_per_tick(log)
+            >= scenario.avoidance.safety_distance)
+
+
 def continuity_gap(tube):
     """Worst two-sided derivative mismatch at interior knots, orders 0..p,
     over the centroid member and every basis member: the end (tau = 1) of

@@ -3,11 +3,11 @@ import pytest
 
 from tubeplan.knots import KnotVector
 from tubeplan.trajopt import (_kkt_solve, AffineInequalities, CorridorSpec,
-                              CostSpec, EqualitySystem, Infeasible,
-                              OutOfDomain, PiecewisePolynomial, RankDeficient,
-                              assemble_cost, assemble_equality, basis_row,
-                              corridor_constraints, evaluate, evaluate_grid,
-                              solve_qp)
+                              Infeasible, OutOfDomain, PiecewisePolynomial,
+                              RankDeficient, assemble_cost, assemble_equality,
+                              basis_row, corridor_constraints, evaluate,
+                              evaluate_grid, reduce_equalities, solve_qp)
+from tubeplan.tube import _solve_reduced
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
 
@@ -104,7 +104,14 @@ def _null_space_problem(rng, n, r):
     return H, C
 
 
+def _solve(H, A, b, ineq=None):
+    """min x^T H x subject to A x = b and ineq, the way a tube solves."""
+    return _solve_reduced(reduce_equalities(A, H), ineq, b)
+
+
 def test_null_space_kkt_matches_reference():
+    # the reduction's minimiser on A x = b and its multipliers solve the
+    # equality KKT system
     rng = np.random.default_rng(1)
     for n, r in ((4, 0), (3, 1), (8, 5), (20, 7), (20, 19), (12, 12)):
         H, C = _null_space_problem(rng, n, r)
@@ -113,7 +120,10 @@ def test_null_space_kkt_matches_reference():
         b = rng.standard_normal(r)
         K = np.block([[2.0 * H, C.T], [C, np.zeros((r, r))]])
         ref = np.linalg.solve(K, np.concatenate([np.zeros(n), b]))
-        x, lam = _kkt_solve(H, C, b)
+        reduced = reduce_equalities(C, H)
+        assert reduced.Z.shape == (n, n - r)
+        x = reduced.minimiser(b)
+        lam = reduced.multipliers(2.0 * H @ x)
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(x - ref[:n]).max() <= 1e-9 * scale
         assert np.abs(lam - ref[n:]).max(initial=0.0) <= 1e-9 * scale
@@ -124,9 +134,9 @@ def test_null_space_kkt_rejects_dependent_rows():
     H, _ = _null_space_problem(rng, 6, 0)
     row = rng.standard_normal(6)
     with pytest.raises(RankDeficient, match="at row 1 of 2"):
-        _kkt_solve(H, np.array([row, row]), np.ones(2))
+        reduce_equalities(np.array([row, row]), H)
     with pytest.raises(RankDeficient, match="7 rows on 6 variables"):
-        _kkt_solve(H, rng.standard_normal((7, 6)), np.ones(7))
+        reduce_equalities(rng.standard_normal((7, 6)), H)
 
 
 def test_null_space_kkt_names_a_late_dependent_row():
@@ -137,10 +147,10 @@ def test_null_space_kkt_names_a_late_dependent_row():
     C = rng.standard_normal((5, 6))
     C[4] = C[:4].T @ np.array([0.05, -0.125, 0.2, 0.075])
     with pytest.raises(RankDeficient, match="at row 4 of 5"):
-        _kkt_solve(H, C, rng.standard_normal(5))
+        reduce_equalities(C, H)
     # the same rows in another order name the same dependent row
     with pytest.raises(RankDeficient, match="at row 1 of 5"):
-        _kkt_solve(H, C[[0, 4, 1, 2, 3]], rng.standard_normal(5))
+        reduce_equalities(C[[0, 4, 1, 2, 3]], H)
 
 
 def test_null_space_kkt_rejects_indefinite_reduced_hessian():
@@ -149,9 +159,12 @@ def test_null_space_kkt_rejects_indefinite_reduced_hessian():
               np.diag([1.0, 1.0, -1.0]),     # indefinite on null(C)
               np.diag([1.0, 1e-14, 1.0])):   # numerically singular
         with pytest.raises(RankDeficient, match="not positive definite"):
-            _kkt_solve(H, C, np.ones(1))
+            reduce_equalities(C, H)
     # positive definite on null(C), singular off it: solvable
-    x, lam = _kkt_solve(np.diag([0.0, 1.0, 1.0]), C, np.ones(1))
+    H = np.diag([0.0, 1.0, 1.0])
+    reduced = reduce_equalities(C, H)
+    x = reduced.minimiser(np.ones(1))
+    lam = reduced.multipliers(2.0 * H @ x)
     assert np.allclose(x, [1.0, 0.0, 0.0]) and np.allclose(lam, [0.0])
 
 
@@ -169,7 +182,7 @@ def test_range_space_kkt_matches_reference():
         b = rng.standard_normal(r)
         K = np.block([[2.0 * H, C.T], [C, np.zeros((r, r))]])
         ref = np.linalg.solve(K, np.concatenate([np.zeros(n), b]))
-        x, lam = _kkt_solve(H, C, b, factor)
+        x, lam = _kkt_solve(factor, C, b)
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(x - ref[:n]).max() <= 1e-9 * scale
         assert np.abs(lam - ref[n:]).max() <= 1e-9 * scale
@@ -177,30 +190,32 @@ def test_range_space_kkt_matches_reference():
 
 def test_range_space_kkt_rejects_dependent_rows():
     rng = np.random.default_rng(6)
-    H, factor = _spd_factor(rng, 6)
+    _, factor = _spd_factor(rng, 6)
     row = rng.standard_normal(6)
     for C in (np.array([row, -row]), np.array([row, row]),
               rng.standard_normal((7, 6))):
         with pytest.raises(RankDeficient):
-            _kkt_solve(H, C, np.ones(C.shape[0]), factor)
+            _kkt_solve(factor, C, np.ones(C.shape[0]))
     # four good rows before the last one, a combination of them, loses rank
     C = rng.standard_normal((5, 6))
     C[4] = C[:4].T @ np.array([0.5, -1.25, 2.0, 0.75])
     with pytest.raises(RankDeficient, match="at row 4 of 5"):
-        _kkt_solve(H, C, rng.standard_normal(5), factor)
+        _kkt_solve(factor, C, rng.standard_normal(5))
 
 
 def test_range_space_kkt_empty_working_set():
     rng = np.random.default_rng(7)
-    H, factor = _spd_factor(rng, 4)
-    x, lam = _kkt_solve(H, np.zeros((0, 4)), np.zeros(0), factor)
+    _, factor = _spd_factor(rng, 4)
+    x, lam = _kkt_solve(factor, np.zeros((0, 4)), np.zeros(0))
     assert np.array_equal(x, np.zeros(4)) and lam.size == 0
 
 
+# the inverse lower Cholesky factor of 2 I, for min |x|^2
+UNIT_FACTOR = np.eye(2) / np.sqrt(2.0)
+
+
 def test_qp_minimum_norm_on_a_line():
-    cost = CostSpec(np.eye(2), 0)
-    eq = EqualitySystem(np.array([[1.0, 1.0]]), np.array([2.0]))
-    sol = solve_qp(cost, eq)
+    sol = _solve(np.eye(2), np.array([[1.0, 1.0]]), np.array([2.0]))
     assert np.allclose(sol.x, [1.0, 1.0], atol=1e-10)
     assert sol.objective == pytest.approx(2.0)
     assert sol.eq_residual <= 1e-10
@@ -214,7 +229,7 @@ def test_qp_matches_one_dof_oracle():
     system = assemble_equality(pts, kv, 3, 1)
     assert system.A.shape == (7, 8)
     cost = assemble_cost(kv, 2, 3, 1)
-    sol = solve_qp(cost, system)
+    sol = _solve(cost.H, system.A, system.b)
 
     # independent oracle: along the one-dimensional feasible line the
     # objective is an exact quadratic, so a parabola through three samples
@@ -238,55 +253,70 @@ def test_qp_matches_one_dof_oracle():
 
 
 def test_qp_active_inequality():
-    cost = CostSpec(np.eye(2), 0)
-    eq = EqualitySystem(np.array([[1.0, 0.0]]), np.array([1.0]))
     ineq = AffineInequalities(np.array([[0.0, -1.0]]), np.array([-2.0]))
-    sol = solve_qp(cost, eq, ineq)            # min |x|^2, x0 = 1, x1 >= 2
+    # min |x|^2, x0 = 1, x1 >= 2
+    sol = _solve(np.eye(2), np.array([[1.0, 0.0]]), np.array([1.0]), ineq)
     assert np.allclose(sol.x, [1.0, 2.0], atol=1e-10)
     assert list(sol.active_set) == [0]
     assert sol.mu[0] == pytest.approx(4.0)
+    assert sol.lam[0] == pytest.approx(-2.0)
     assert sol.mu.min() >= -1e-10
     assert sol.kkt_stationarity <= 1e-8
     # cold: one solve without the row, one with it
     assert sol.working == [0] and sol.iterations == 2
-    warm = solve_qp(cost, eq, ineq, working=sol.working)
-    assert warm.iterations == 1
-    assert np.array_equal(warm.x, sol.x)
-    # a warm set with dependent rows is dropped, never reported infeasible
-    stale = solve_qp(cost, eq, ineq, working=[0, 0])
-    assert stale.iterations == 3
-    assert np.array_equal(stale.x, sol.x)
 
 
 def test_qp_without_equalities():
-    cost = CostSpec(np.eye(2), 0)
-    eq = EqualitySystem(np.zeros((0, 2)), np.zeros(0))
-    ineq = AffineInequalities(np.array([[-1.0, 0.0]]), np.array([-1.0]))
-    sol = solve_qp(cost, eq, ineq)            # min |x|^2, x0 >= 1
-    assert np.allclose(sol.x, [1.0, 0.0], atol=1e-10)
-    assert sol.eq_residual == 0.0
-    assert sol.lam.size == 0
-    assert list(sol.active_set) == [0]
-    assert sol.mu[0] == pytest.approx(2.0)
-    assert sol.kkt_stationarity <= 1e-8
+    G = -np.eye(2)
+    h = np.array([-1.0, -2.0])
+    sol = solve_qp(UNIT_FACTOR, G, h)         # min |x|^2, x >= (1, 2)
+    assert np.allclose(sol.x, [1.0, 2.0], atol=1e-10)
+    assert np.allclose(sol.mu, [2.0, 4.0])
+    # cold: the most violated row joins first, then the other
+    assert sol.working == [1, 0] and sol.iterations == 3
+    warm = solve_qp(UNIT_FACTOR, G, h, sol.working)
+    assert warm.iterations == 1
+    assert np.array_equal(warm.x, sol.x)
+    # a warm set with dependent rows is dropped, never reported infeasible
+    stale = solve_qp(UNIT_FACTOR, G, h, [0, 0])
+    assert stale.iterations == 4
+    assert np.array_equal(stale.x, sol.x)
 
 
 def test_qp_inactive_inequality():
-    cost = CostSpec(np.eye(2), 0)
-    eq = EqualitySystem(np.array([[1.0, 0.0]]), np.array([1.0]))
     ineq = AffineInequalities(np.array([[0.0, 1.0]]), np.array([5.0]))
-    sol = solve_qp(cost, eq, ineq)
+    sol = _solve(np.eye(2), np.array([[1.0, 0.0]]), np.array([1.0]), ineq)
     assert np.allclose(sol.x, [1.0, 0.0], atol=1e-10)
     assert sol.active_set.size == 0
     assert np.allclose(sol.mu, 0.0)
 
 
 def test_qp_infeasible_constraints():
-    cost = CostSpec(np.eye(1), 0)
-    eq = EqualitySystem(np.array([[1.0]]), np.array([0.0]))
     ineq = AffineInequalities(np.array([[-1.0]]), np.array([-1.0]))
     with pytest.raises(Infeasible):
-        solve_qp(cost, eq, ineq)      # x = 0 and x >= 1
+        # x = 0 and x >= 1: no variable is left after the reduction
+        _solve(np.eye(1), np.array([[1.0]]), np.array([0.0]), ineq)
+
+
+def test_qp_dependent_row_without_positive_weight_is_infeasible():
+    # x0 <= -1 joins first; x0 >= 0 is -1 times it, so nothing can make
+    # room for it
+    G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(Infeasible, match="no feasible point"):
+        solve_qp(UNIT_FACTOR, G, np.array([-1.0, 0.0]))
+
+
+def test_qp_dependent_row_takes_the_place_of_the_smallest_ratio():
+    # x >= (1, 1) join first; at (1, 1) the row (x0 + 2 x1) / 10 >= 0.4 is
+    # violated and is 0.1 and 0.2 times the two, whose multipliers are
+    # 2 and 2: the ratios 20 and 10 send x1 >= 1 out
+    G = np.array([[-1.0, 0.0], [0.0, -1.0], [-0.1, -0.2]])
+    h = np.array([-1.0, -1.0, -0.4])
+    sol = solve_qp(UNIT_FACTOR, G, h)
+    assert np.allclose(sol.x, [1.0, 1.5], atol=1e-10)
+    assert np.allclose(sol.mu, [0.5, 0.0, 15.0])
+    # the empty set, then each row joins once, and one solve fails
+    assert sol.working == [0, 2] and sol.iterations == 5
 
 
 def test_qp_deterministic():
@@ -294,8 +324,8 @@ def test_qp_deterministic():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     system = assemble_equality(pts, kv, 5, 2)
     cost = assemble_cost(kv, 3, 5, 2)
-    a = solve_qp(cost, system)
-    b = solve_qp(cost, system)
+    a = _solve(cost.H, system.A, system.b)
+    b = _solve(cost.H, system.A, system.b)
     assert np.array_equal(a.x, b.x)
 
 
@@ -326,7 +356,7 @@ def test_continuity_across_interior_knots():
                     [4.0, 0.0]])
     system = assemble_equality(pts, kv, 5, 3)
     cost = assemble_cost(kv, 3, 5, 2)
-    sol = solve_qp(cost, system)
+    sol = _solve(cost.H, system.A, system.b)
     traj = PiecewisePolynomial(2, 5, kv, sol.x)
     # at the shared knot, tau = 1 of one segment meets tau = 0 of the next
     spans = np.diff(kv.u)
@@ -344,7 +374,7 @@ def test_second_derivative_matches_finite_differences():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     system = assemble_equality(pts, kv, 5, 2)
     cost = assemble_cost(kv, 3, 5, 2)
-    traj = PiecewisePolynomial(2, 5, kv, solve_qp(cost, system).x)
+    traj = PiecewisePolynomial(2, 5, kv, _solve(cost.H, system.A, system.b).x)
     rng = np.random.default_rng(7)
     # h = 1e-4 balances cancellation noise against truncation; samples stay
     # clear of the interior knot so the stencil never straddles segments
@@ -363,10 +393,10 @@ def test_second_derivative_matches_finite_differences():
 def test_objective_invariant_under_translation():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    base = solve_qp(assemble_cost(kv, 3, 5, 2),
-                    assemble_equality(pts, kv, 5, 2))
-    moved = solve_qp(assemble_cost(kv, 3, 5, 2),
-                     assemble_equality(pts + [10.0, -4.0], kv, 5, 2))
+    H = assemble_cost(kv, 3, 5, 2).H
+    base = assemble_equality(pts, kv, 5, 2)
+    moved = assemble_equality(pts + [10.0, -4.0], kv, 5, 2)
+    base, moved = (_solve(H, s.A, s.b) for s in (base, moved))
     assert moved.objective == pytest.approx(base.objective, abs=1e-6)
     # only the constant coefficients change
     diff = (moved.x - base.x).reshape(2, 6, 2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tubeplan import tube as tube_module
 from tubeplan.geometry import OrderPairSet, Terminal, assign_vertices
 from tubeplan.pathfinder import ObstacleSet, RrtConfig, equalize_waypoints
 from tubeplan.trajopt import PiecewisePolynomial, evaluate, evaluate_grid
@@ -63,6 +64,27 @@ def test_member_matches_direct_solve(triangle_tube):
         assert np.abs(x - direct.x).max() <= 1e-6
         obj = float(x @ tube.cost.H @ x)
         assert abs(obj - direct.objective) <= 1e-8 * max(direct.objective, 1.0)
+
+
+def test_one_reduction_per_tube_and_per_direct_solve(triangle_tube,
+                                                      monkeypatch):
+    # the basis QPs of a tube share one reduction of the equality rows;
+    # a direct solve is a reference from scratch, so it reduces every time
+    reductions = []
+    reduce = tube_module.reduce_equalities
+
+    def counted(A, H):
+        reductions.append(A.shape)
+        return reduce(A, H)
+
+    monkeypatch.setattr(tube_module, "reduce_equalities", counted)
+    tube = hand_tube(_kink_paths(0.4), TrajectoryConfig(segments=6))
+    assert tube.qp_solves == 2 and len(reductions) == 1
+    for theta in ([0.5, 0.5], [0.5, 0.5], [0.25, 0.75]):
+        direct_member_solve(tube, theta)
+    assert len(reductions) == 4
+    direct_member_solve(triangle_tube, [0.2, 0.3, 0.5])
+    assert reductions[-1] == triangle_tube.A.shape and len(reductions) == 5
 
 
 def test_member_verification_passes(triangle_tube):
