@@ -44,12 +44,12 @@ cross-section of the run is a slice of that grid.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import PointOutsideHull, barycentric_weights
 from .knots import KnotVector
-from .trajopt import Infeasible, RankDeficient, evaluate_grid, solve_qp
+from .trajopt import (Infeasible, RankDeficient, evaluate_grid,
+                      inverse_cholesky, solve_qp)
 from .tube import OptimalVirtualTube, check_weights
 
 # distance-to-facet threshold separating interior from boundary robots
@@ -364,11 +364,10 @@ def horizon_qp(config: MpcConfig, d: int, N: int) -> HorizonQp:
                      + config.input_weight * np.eye(n_u))
     H[n_u:, n_u:] = config.slack_weight * np.eye(N + 1)
     try:
-        L = np.linalg.cholesky(2.0 * H)
+        L_inv = inverse_cholesky(2.0 * H)
     except np.linalg.LinAlgError:
         raise RankDeficient("horizon QP Hessian is not positive definite; "
                             "check the controller weights") from None
-    L_inv = solve_triangular(L, np.eye(nz), lower=True)
     # |u| <= input_limit with u = u_d - u~ (one row per sign), then s >= 0
     G_bounds = np.zeros((2 * n_u + N + 1, nz))
     G_bounds[:2 * n_u, :n_u] = np.kron(np.eye(n_u), [[1.0], [-1.0]])

@@ -1,14 +1,22 @@
-"""Sampling-based path planning for bundles of homotopic waypoint paths.
+"""Waypoint paths for bundles of homotopic start/goal vertex pairs.
 
-One RRT* query per start/goal vertex pair whose start does not see its goal;
-a pair that does gets the straight segment, which is what the shortcut pass
-would make of any tree path, so it can never fail with NoPathFound.  The
-first pair samples the whole workspace; later pairs sample inside an
-envelope around the first path so all paths thread the same passage.  A
-deterministic shortcut pass trims the raw trees down to a few corners, and
-equalization resamples every path to a common waypoint count by arc length.
+A pair whose start sees its goal gets the straight segment, so it can never
+fail with NoPathFound.  Any other pair takes the shortest path over a
+visibility graph (Lozano-Perez & Wesley, CACM 1979) whose nodes are the
+start, the goal and every corner of every inflated box, pushed out by
+``_CORNER_PUSH`` because ``segment_free`` treats box boundaries as closed.
+In 2-D that path is the exact shortest one, and it depends on no seed or
+iteration budget.  Only where the graph cannot reach the goal does an
+RRT* tree grow (Karaman & Frazzoli, IJRR 2011): in 3-D a passage whose
+bordering corners all lie inside neighbouring boxes has no graph path.
+The first pair may use the whole workspace; later pairs keep their graph
+corners and tree samples inside an envelope around the first path, so all
+paths thread the same passage.  A deterministic shortcut pass trims a
+path down to a few corners, and equalization resamples every path to a
+common waypoint count by arc length.
 """
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,7 +25,7 @@ from .geometry import OrderPairSet
 
 
 class NoPathFound(RuntimeError):
-    """The tree never connected to the goal within the iteration budget."""
+    """The RRT* fallback never reached the goal within its iteration budget."""
 
 
 class InvalidEndpoints(ValueError):
@@ -150,14 +158,17 @@ def _sample_bounds(start, goal, obstacles: ObstacleSet, region, config):
 
 def find_path(start, goal, obstacles: ObstacleSet, config: RrtConfig,
               sample_region=None) -> np.ndarray:
-    """Shortest collision-free polyline found by RRT* with rewiring.
+    """Collision-free polyline from start to goal.
 
-    A goal that the start sees returns ``[start, goal]`` without a tree:
-    ``simplify_path`` keeps the start and first tries the last vertex, so it
-    would make exactly that of any tree path, and a visible goal never
-    raises NoPathFound.  Deterministic for a fixed seed; running more
-    iterations can only keep or shorten the returned path because samples
-    are drawn as a fixed stream.  Optionally restricts samples to a region
+    A goal that the start sees returns ``[start, goal]``: ``simplify_path``
+    keeps the start and first tries the last vertex, so it would make
+    exactly that of any other path, and a visible goal never raises
+    NoPathFound.  A hidden goal takes the shortest path over the corner
+    graph (``_corner_graph_path``), which ignores ``config``.  Only when
+    that graph cannot reach the goal does RRT* with rewiring run; it is
+    deterministic for a fixed seed, and more iterations can only keep or
+    shorten its path because samples are drawn as a fixed stream.  An
+    optional region keeps graph corners and tree samples inside it
     (goal-biased draws still hit the exact goal).
     """
     start = np.asarray(start, dtype=float)
@@ -170,7 +181,55 @@ def find_path(start, goal, obstacles: ObstacleSet, config: RrtConfig,
         raise InvalidEndpoints("goal lies inside an inflated obstacle")
     if obstacles.segment_free(start, goal):
         return np.array([start, goal])
+    path = _corner_graph_path(start, goal, obstacles, sample_region)
+    if path is not None:
+        return path
     return _rrt_star(start, goal, obstacles, config, sample_region)
+
+
+# how far each graph corner sits outside its inflated box on every axis
+_CORNER_PUSH = 1e-6
+
+
+def _corner_graph_path(start, goal, obstacles, region):
+    """Dijkstra from start to goal over the boxes' pushed-out corners, or
+    None when no chain of free segments joins them.
+
+    Corners inside another box or outside the region are dropped.  Nodes
+    are numbered start, goal, then box by box in corner-bit order, and heap
+    ties go to the lower number, so the path depends only on the geometry.
+    An edge is tested with ``segment_free`` only when it would shorten a
+    distance.
+    """
+    dim = start.size
+    bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
+    corners = np.where(bits, obstacles._hi[:, None] + _CORNER_PUSH,
+                       obstacles._lo[:, None] - _CORNER_PUSH).reshape(-1, dim)
+    nodes = np.array([start, goal] + [
+        c for c in corners if obstacles.point_free(c)
+        and (region is None or region.contains(c))])
+    dist = np.full(len(nodes), np.inf)
+    dist[0] = 0.0
+    prev = np.full(len(nodes), -1)
+    done = np.zeros(len(nodes), dtype=bool)
+    heap = [(0.0, 0)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == 1:
+            chain = [1]
+            while chain[-1] != 0:
+                chain.append(prev[chain[-1]])
+            return nodes[chain[::-1]]
+        if done[u]:
+            continue
+        done[u] = True
+        reach = d + np.linalg.norm(nodes - nodes[u], axis=1)
+        for v in np.flatnonzero(~done & (reach < dist)):
+            if obstacles.segment_free(nodes[u], nodes[v]):
+                dist[v] = reach[v]
+                prev[v] = u
+                heapq.heappush(heap, (dist[v], int(v)))
+    return None
 
 
 def _rrt_star(start, goal, obstacles, config, sample_region):
@@ -349,10 +408,11 @@ def find_homotopic_paths(pairs: OrderPairSet, obstacles: ObstacleSet,
                          config: RrtConfig) -> list:
     """One simplified path per vertex pair, all in the same homotopy class.
 
-    Pair k plans with seed ``rng_seed + k``.  Pairs beyond the first sample
-    inside an envelope around the first path (radius at least
-    corridor_shrink_radius, grown to reach the pair's endpoints) and the
-    result is verified by cross-path segment checks.
+    Pair k's RRT* fallback uses seed ``rng_seed + k``.  Pairs beyond the
+    first keep their graph corners and tree samples inside an envelope
+    around the first path (radius at least corridor_shrink_radius, grown to
+    reach the pair's endpoints) and the result is verified by cross-path
+    segment checks.
     """
     starts = pairs.starts.vertices
     goals = pairs.paired_goals()

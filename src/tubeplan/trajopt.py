@@ -271,15 +271,30 @@ def reduce_equalities(A: np.ndarray, H: np.ndarray) -> ReducedEqualities:
         raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {perm[k]} of {r}")
     Z = Q[:, r:]
     try:
-        L = np.linalg.cholesky(Z.T @ (2.0 * H) @ Z)
-        if L.size and L.diagonal().min() <= 1e-6 * L.diagonal().max():
+        factor = inverse_cholesky(Z.T @ (2.0 * H) @ Z)
+        # the inverse's diagonal is 1 / the factor's, so the ratio is the same
+        f = factor.diagonal()
+        if f.size and f.min() <= 1e-6 * f.max():
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise RankDeficient(
             "reduced Hessian is not positive definite on null(A)") from None
-    # not solve_triangular(L, I), which takes milliseconds on 2 BLAS threads
-    factor = dtrtri(L, lower=1)[0] if L.size else L
     return ReducedEqualities(A, H, Q[:, :r], R[:r], perm, Z, factor)
+
+
+def inverse_cholesky(M: np.ndarray) -> np.ndarray:
+    """Inverse of the lower Cholesky factor of M, by LAPACK dtrtri.
+
+    Not solve_triangular(L, I), which takes milliseconds on 2 BLAS threads.
+    Raises numpy.linalg.LinAlgError when M is not positive definite.
+    """
+    L = np.linalg.cholesky(M)
+    if not L.size:
+        return L
+    inv, info = dtrtri(L, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtri info {info}")
+    return inv
 
 
 @dataclass

@@ -200,7 +200,11 @@ def test_blocked_scenario_exits_3(tmp_path, capsys):
         "rng_seed": 3,
         "start_terminal": [[0.0, 0.0], [0.0, 1.0]],
         "goal_terminal": [[5.0, 0.0], [5.0, 1.0]],
-        "obstacles": {"boxes": [{"min": [2.0, -60.0], "max": [3.0, 60.0]}]},
+        # four overlapping walls seal the start terminal in
+        "obstacles": {"boxes": [{"min": [-3.0, -3.0], "max": [-2.0, 4.0]},
+                                {"min": [2.0, -3.0], "max": [3.0, 4.0]},
+                                {"min": [-3.0, -3.0], "max": [3.0, -2.0]},
+                                {"min": [-3.0, 3.0], "max": [3.0, 4.0]}]},
         "planner": {"rrt": {"max_iterations": 200, "step_size": 1.0}},
     }
     sealed = tmp_path / "sealed.json"
@@ -208,7 +212,7 @@ def test_blocked_scenario_exits_3(tmp_path, capsys):
     code = main(["plan", "--scenario", str(sealed),
                  "--out", str(tmp_path / "t.json")])
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    assert "error: no path after 200 iterations" in capsys.readouterr().err
 
 
 def _triangle_with(tmp_path, section, key, value):

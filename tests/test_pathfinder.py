@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from tubeplan import pathfinder
+from tubeplan.cli import main, plan_tube
 from tubeplan.geometry import OrderPairSet, Terminal, assign_vertices
 from tubeplan.pathfinder import (HomotopyCheckFailed, InvalidEndpoints,
                                  NoPathFound, ObstacleSet, RrtConfig,
@@ -11,6 +13,7 @@ from tubeplan.pathfinder import (HomotopyCheckFailed, InvalidEndpoints,
                                  check_homotopy, equalize_waypoints,
                                  find_homotopic_paths, find_path,
                                  simplify_path)
+from tubeplan.scenario_io import load_scenario
 
 WALL = ObstacleSet((
     (np.array([4.0, -18.0]), np.array([6.0, -2.0])),
@@ -88,11 +91,23 @@ def test_find_path_endpoint_validation():
         find_path([5.0, 10.0], [10.0, 0.0], WALL, cfg)   # start in a wall
 
 
-def test_no_path_when_fully_blocked():
-    sealed = ObstacleSet(((np.array([4.0, -200.0]), np.array([6.0, 200.0])),))
+# four overlapping walls seal the start (0, 0) off from any goal outside
+RING = ObstacleSet((
+    (np.array([-4.0, -4.0]), np.array([-3.0, 4.0])),
+    (np.array([3.0, -4.0]), np.array([4.0, 4.0])),
+    (np.array([-4.0, -4.0]), np.array([4.0, -3.0])),
+    (np.array([-4.0, 3.0]), np.array([4.0, 4.0])),
+), inflation=0.25)
+
+
+def test_no_path_when_fully_blocked(monkeypatch):
+    trees = _count_trees(monkeypatch)
+    start, goal = np.array([0.0, 0.0]), np.array([10.0, 0.0])
+    assert pathfinder._corner_graph_path(start, goal, RING, None) is None
     cfg = RrtConfig(max_iterations=200, step_size=1.0, rng_seed=2)
     with pytest.raises(NoPathFound):
-        find_path([0.0, 0.0], [10.0, 0.0], sealed, cfg)
+        find_path(start, goal, RING, cfg)
+    assert len(trees) == 1
 
 
 def test_simplify_straightens_free_space():
@@ -246,16 +261,18 @@ def test_shortcut_skips_rrt_in_free_space(monkeypatch):
     assert trees == []
 
 
-def test_shortcut_runs_rrt_only_for_the_hidden_pair(monkeypatch):
+def test_hidden_pair_takes_the_corner_graph_without_a_tree(monkeypatch):
     trees = _count_trees(monkeypatch)
     starts = [[0.0, -7.5], [0.0, 7.5]]
     goals = [[20.0, -7.5], [20.0, 7.5]]
     paths = find_homotopic_paths(_pairs(starts, goals), CORRIDOR,
                                  CORRIDOR_CFG)
-    assert len(trees) == 1
-    assert np.array_equal(trees[0][0], starts[1])
+    assert trees == []
     assert np.array_equal(paths[0], np.array([starts[0], goals[0]]))
-    assert len(paths[1]) > 2
+    # around the upper wall's two lower corners, pushed out by 1e-6
+    push = pathfinder._CORNER_PUSH
+    assert np.array_equal(paths[1], [starts[1], [7.5 - push, 5.5 - push],
+                                     [12.5 + push, 5.5 - push], goals[1]])
     for a, b in zip(paths[1][:-1], paths[1][1:]):
         assert CORRIDOR.segment_free(a, b)
 
@@ -274,14 +291,16 @@ def test_shortcut_equals_the_simplified_tree_path():
 
 
 def test_find_path_grows_a_deterministic_tree_for_a_hidden_goal():
+    # the tree that find_path falls back on when the corner graph fails
+    start, goal = np.array([0.0, 0.0]), np.array([10.0, 0.0])
     base = RrtConfig(max_iterations=800, step_size=1.0, rewire_radius=3.0,
                      rng_seed=5)
-    p1 = find_path([0.0, 0.0], [10.0, 0.0], OFFSET_WALL, base)
+    p1 = pathfinder._rrt_star(start, goal, OFFSET_WALL, base, None)
     assert len(p1) > 2
-    assert np.array_equal(p1, find_path([0.0, 0.0], [10.0, 0.0],
-                                        OFFSET_WALL, base))
+    assert np.array_equal(p1, pathfinder._rrt_star(start, goal, OFFSET_WALL,
+                                                   base, None))
     more = dataclasses.replace(base, max_iterations=1600)
-    p3 = find_path([0.0, 0.0], [10.0, 0.0], OFFSET_WALL, more)
+    p3 = pathfinder._rrt_star(start, goal, OFFSET_WALL, more, None)
     assert _path_length(p3) <= _path_length(p1) + 1e-9
     for path in (p1, p3):
         for a, b in zip(path[:-1], path[1:]):
@@ -307,24 +326,27 @@ def test_shortcut_keeps_endpoints_in_boxes_invalid(starts, goals, where):
         find_homotopic_paths(_pairs(starts, goals), CORRIDOR, CORRIDOR_CFG)
 
 
-def test_find_homotopic_paths_hidden_pair_samples_the_envelope(monkeypatch):
+@pytest.mark.parametrize("height, radius", [(1.0, 6.0), (7.0, 12.0)])
+def test_find_homotopic_paths_hidden_pair_keeps_to_the_envelope(
+        monkeypatch, height, radius):
     # pair 0 sees its goal through the lower of two gaps; pair 1 has the
-    # wall between its ends and must sample around pair 0's path, so it
-    # threads the lower gap too, never the upper one
+    # wall between its ends and keeps to an envelope around pair 0's path,
+    # so it threads the lower gap too, never the upper one, even from
+    # y = 7 where the upper gap would be shorter
     two_gaps = ObstacleSet((
         (np.array([4.0, -14.0]), np.array([6.0, -6.0])),
         (np.array([4.0, -1.0]), np.array([6.0, 9.0])),
         (np.array([4.0, 11.0]), np.array([6.0, 20.0])),
     ), inflation=0.25)
-    starts = [[0.0, -3.5], [0.0, 1.0]]
-    goals = [[10.0, -3.5], [10.0, 1.0]]
+    starts = [[0.0, -3.5], [0.0, height]]
+    goals = [[10.0, -3.5], [10.0, height]]
     cfg = RrtConfig(max_iterations=1500, step_size=1.5, rewire_radius=3.0,
                     corridor_shrink_radius=2.5, rng_seed=9)
     trees = _count_trees(monkeypatch)
     paths = find_homotopic_paths(_pairs(starts, goals), two_gaps, cfg)
-    assert len(trees) == 1
+    assert trees == []
     check_homotopy(paths, two_gaps)
-    envelope = _PolylineRegion(paths[0], 6.0)   # radius grown to the ends
+    envelope = _PolylineRegion(paths[0], radius)   # radius grown to the ends
     for p in paths[1]:
         assert envelope.contains(p)
     crossings = []
@@ -334,3 +356,70 @@ def test_find_homotopic_paths_hidden_pair_samples_the_envelope(monkeypatch):
             crossings.append(a[1] + frac * (b[1] - a[1]))
     assert crossings
     assert all(-5.75 < y < -1.25 for y in crossings)
+
+
+# four touching boxes frame a square hole |y|, |z| < 0.75 in the wall
+# 3.75 <= x <= 6.25; every corner bordering the hole lies inside a
+# neighbouring box, and the free corners sit on the wall's outer edges
+FRAMED_HOLE = ObstacleSet((
+    (np.array([4.0, -10.0, -10.0]), np.array([6.0, 10.0, -1.0])),
+    (np.array([4.0, -10.0, 1.0]), np.array([6.0, 10.0, 10.0])),
+    (np.array([4.0, -10.0, -1.0]), np.array([6.0, -1.0, 1.0])),
+    (np.array([4.0, 1.0, -1.0]), np.array([6.0, 10.0, 1.0])),
+), inflation=0.25)
+
+
+def test_framed_hole_in_3d_falls_back_to_rrt(monkeypatch):
+    # pair 0 sees its goal through the hole; the graph inside pair 1's
+    # envelope keeps no corner, so RRT* grows one tree and threads the hole
+    starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 3.0]])
+    goals = starts + [10.0, 0.0, 0.0]
+    cfg = RrtConfig(max_iterations=500, step_size=1.0, rewire_radius=2.0,
+                    corridor_shrink_radius=2.0, rng_seed=1)
+    trees = _count_trees(monkeypatch)
+    paths = find_homotopic_paths(_pairs(starts, goals), FRAMED_HOLE, cfg)
+    assert len(trees) == 1
+    assert np.array_equal(trees[0][0], starts[1])
+    assert np.array_equal(paths[0], np.array([starts[0], goals[0]]))
+    for a, b in zip(paths[1][:-1], paths[1][1:]):
+        assert FRAMED_HOLE.segment_free(a, b)
+        if (a[0] - 5.0) * (b[0] - 5.0) < 0:
+            hit = a + (5.0 - a[0]) / (b[0] - a[0]) * (b - a)
+            assert np.all(np.abs(hit[1:]) < 0.75)
+
+
+# --- the shipped scenarios ---------------------------------------------------
+
+SCENARIOS = ["scenarios/corridor_2d.json", "scenarios/triangle_2d.json",
+             "scenarios/tetra_3d.json"]
+
+
+def test_shipped_scenarios_plan_without_a_tree(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("an RRT* tree was grown")
+
+    monkeypatch.setattr(pathfinder, "_rrt_star", no_tree)
+    for path in SCENARIOS:
+        plan_tube(load_scenario(path))
+
+
+def test_corridor_hidden_pair_is_the_shortest_path_at_every_seed(tmp_path):
+    doc = json.loads(open(SCENARIOS[0], encoding="utf-8").read())
+    scenario = load_scenario(SCENARIOS[0])
+    pairs = assign_vertices(scenario.start_terminal, scenario.goal_terminal,
+                            scenario.variance_weight)
+    # around the inflated upper box's two lower corners, 2 m below y = 7.5
+    shortest = 2.0 * np.hypot(7.5, 2.0) + 5.0
+    tubes = []
+    for seed in (1, 42, 7919):
+        cfg = dataclasses.replace(scenario.rrt, rng_seed=seed)
+        paths = find_homotopic_paths(pairs, scenario.obstacles, cfg)
+        assert max(map(_path_length, paths)) == pytest.approx(shortest,
+                                                              abs=1e-6)
+        doc["rng_seed"] = seed
+        src = tmp_path / f"corridor{seed}.json"
+        src.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / f"corridor{seed}.tube.json"
+        assert main(["plan", "--scenario", str(src), "--out", str(out)]) == 0
+        tubes.append(out.read_bytes())
+    assert tubes[0] == tubes[1] == tubes[2]
