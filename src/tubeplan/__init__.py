@@ -4,14 +4,14 @@ Plan a small set of optimal polynomial trajectories between the vertices
 of convex start/goal regions, then generate the optimal trajectory of any
 interior member as a convex combination of that basis — no further
 optimization required.  A horizon controller flies a swarm along the tube
-with pairwise collision avoidance and cross-section containment.
+with pairwise collision avoidance and a box around each robot's member.
 """
 
 from .geometry import (OrderPairSet, Terminal, assign_vertices,
                        barycentric_weights, equispaced_weights)
 from .knots import KnotVector, chord_length_knots, normalize_knots, public_knots
-from .mpcsim import (AvoidanceModel, DiscreteDynamics, Metrics, MpcConfig,
-                     SimLog, TimeScaling, compute_metrics, simulate)
+from .mpcsim import (AvoidanceModel, Metrics, MpcConfig, SimLog,
+                     TimeScaling, compute_metrics, simulate)
 from .pathfinder import (ObstacleSet, RrtConfig, equalize_waypoints,
                          find_homotopic_paths, find_path, simplify_path)
 from .scenario_io import (Scenario, load_scenario, load_tube, save_log,
@@ -26,8 +26,8 @@ from .tube import (OptimalVirtualTube, QpSolution, TrajectoryConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AvoidanceModel", "DiscreteDynamics", "KnotVector", "Metrics",
-    "MpcConfig", "ObstacleSet", "OptimalVirtualTube", "OrderPairSet",
+    "AvoidanceModel", "KnotVector", "Metrics", "MpcConfig", "ObstacleSet",
+    "OptimalVirtualTube", "OrderPairSet",
     "PiecewisePolynomial", "QpSolution", "RrtConfig", "Scenario", "SimLog",
     "Terminal", "TimeScaling", "TrajectoryConfig", "assemble_cost",
     "assemble_equality", "assign_vertices", "barycentric_weights",

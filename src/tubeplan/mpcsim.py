@@ -4,7 +4,8 @@ Each robot is a discrete double integrator tracking its own member
 trajectory, time-scaled so the bundle is traversed at a reference speed.
 Robots avoid each other through tangent half-spaces of ellipse Minkowski
 sums, softened by one shared slack per horizon step, and stay inside the
-tube through cross-section constraints.
+tube by keeping every planned position within a +-eps_c box around the
+robot's own reference.
 
 The horizon QP is condensed (Jerez, Kerrigan & Constantinides, CDC 2011).
 In error coordinates (reference minus actual) the dynamics give the error
@@ -15,11 +16,10 @@ trajectory QP solver takes as it is.
 
 Each tick assembles the QPs of the whole swarm at once (``tick_qps``):
 the free responses, the unconstrained minimisers and the input,
-avoidance and tube rows are arrays with a leading robot axis, and robots
-whose horizon steps take the same tube rows (cross-section facets or
-+-eps_c boxes) share one row array.  Only the active-set loops run per
-robot (``mpc_step``), each against its neighbours' plans of the
-previous tick.
+avoidance and box rows are arrays with a leading robot axis, and every
+robot's rows share one layout.  Only the active-set loops run per robot
+(``mpc_step``), each against its neighbours' plans of the previous
+tick.
 
 The condensed Hessian is positive definite and depends only on the
 dynamics, the horizon and the weights, so ``simulate`` builds it and its
@@ -32,13 +32,13 @@ path once ``trajopt.reduce_equalities`` has removed their equality rows.
 Each robot's active-set loop is warm-started from the working set its own
 QP ended with on the previous tick (Ferreau, Bock & Diehl, IJRNC 2008):
 consecutive horizons share most of their binding rows, so a warm QP
-mostly settles after one or two KKT solves.  Rows are matched by index,
-so a set is carried over only while the row count stays the same.
+mostly settles after one or two KKT solves.  Rows are matched by index;
+the row layout is the same at every tick of a run.
 
 Every robot shares one time scaling, so step k of tick t samples the tube
 at the same parameter for all of them.  ``simulate`` evaluates the basis
-once on those parameters (``ReferenceGrid``); every reference window and
-cross-section of the run is a slice of that grid.
+once on those parameters (``ReferenceGrid``); every reference window of
+the run is a slice of that grid.
 """
 
 from dataclasses import dataclass
@@ -52,8 +52,6 @@ from .trajopt import (Infeasible, RankDeficient, evaluate_grid,
                       inverse_cholesky, solve_qp)
 from .tube import OptimalVirtualTube, check_weights
 
-# distance-to-facet threshold separating interior from boundary robots
-_BOUNDARY_TOL = 1e-6
 MAX_TICKS = 10**6  # the longest run simulate accepts
 # the longest horizon MpcConfig accepts: the QP arrays of one tick grow
 # with the square of the horizon times the square of the swarm size
@@ -70,31 +68,6 @@ class StartOutsideTerminal(ValueError):
 
 class UnrunnableSettings(ValueError):
     """The run settings ask for too many ticks or overflow the reference."""
-
-
-@dataclass(frozen=True)
-class DiscreteDynamics:
-    """Discrete double integrator x_{k+1} = A x_k + B u_k.
-
-    The state stacks position over velocity.  The velocity row of A is
-    zero, so the next velocity is Ts * u_k: the input has direct velocity
-    authority and the position row advances by Ts * v_k exactly.
-    """
-
-    timestep: float
-    dim: int
-
-    @property
-    def A(self) -> np.ndarray:
-        d = self.dim
-        top = np.hstack([np.eye(d), self.timestep * np.eye(d)])
-        bottom = np.zeros((d, 2 * d))
-        return np.vstack([top, bottom])
-
-    @property
-    def B(self) -> np.ndarray:
-        d = self.dim
-        return np.vstack([np.zeros((d, d)), self.timestep * np.eye(d)])
 
 
 @dataclass(frozen=True)
@@ -178,7 +151,6 @@ class ReferenceGrid:
     read the last entry.
     """
 
-    sections: np.ndarray  # (q, G, d) basis positions: the cross-sections
     states: np.ndarray    # (M, G, 2 d)
     inputs: np.ndarray    # (M, G, d), feedforward accelerations
     params: np.ndarray    # (G,) tube parameter per index, capped at 1
@@ -215,7 +187,7 @@ def reference_grid(basis_x: np.ndarray, knots: KnotVector, order: int,
         raise UnrunnableSettings(
             f"the reference overflows at {scaling.speed:g} m/s; lower "
             f"controller.reference_speed")
-    return ReferenceGrid(basis[0], states, inputs, params)
+    return ReferenceGrid(states, inputs, params)
 
 
 def reference_window(grid: ReferenceGrid, tick: int, horizon: int):
@@ -296,6 +268,7 @@ def avoidance_halfspaces(self_pred: np.ndarray, neighbor_preds: np.ndarray,
     return Halfspaces(normals, offsets)
 
 
+# no caller in the package: kept only as a benchmark trace target
 def hull_inequalities(points: np.ndarray):
     """Outward facet rows (A, b) with A p <= b for a full-dimensional hull.
 
@@ -325,7 +298,7 @@ class HorizonQp:
     the weights, so one Cholesky factor serves every robot and tick.
     """
 
-    A: np.ndarray          # (2 d, 2 d) dynamics
+    A: np.ndarray          # (2 d, 2 d) double integrator x+ = A x + B u
     B: np.ndarray          # (2 d, d)
     S: np.ndarray          # (N + 1, 2 d, N d) input errors to error states
     weights: np.ndarray    # (N + 1, 2 d) stage weights, terminal scaled
@@ -345,8 +318,12 @@ def horizon_qp(config: MpcConfig, d: int, N: int) -> HorizonQp:
     Raises RankDeficient when the Hessian is not positive definite, as
     when an input moves only states that carry no weight.
     """
-    dyn = DiscreteDynamics(config.timestep, d)
-    A, B = dyn.A, dyn.B
+    # the state stacks position over velocity; the velocity row of A is
+    # zero, so the input sets the next velocity (Ts u) directly and the
+    # position advances by Ts v exactly
+    Ts, eye = config.timestep, np.eye(d)
+    A = np.block([[eye, Ts * eye], [np.zeros((d, 2 * d))]])
+    B = np.vstack([np.zeros((d, d)), Ts * eye])
     n_u = N * d
     nz = n_u + N + 1
     # x~_{k+1} = A x~_k + B u~_k stacks into x~ = S u~ (+ F, per robot)
@@ -386,33 +363,31 @@ class TickQps:
 
     The variables are z = [u~, s]: the input errors u~_k = u_d,k - u_k
     for steps 0..N-1 and one slack per step 0..N.  Robot i minimises
-    y^T H y over y = z - z_star[i] subject to G[i] y <= h[i].  Robots
-    whose steps take the same tube rows share one row count, and their
-    G[i] are slices of one array.
+    y^T H y over y = z - z_star[i] subject to G[i] y <= h[i].  Every
+    robot's rows share one layout, so G and h are single arrays.
     """
 
-    G: list                # per robot (rows, nz)
-    h: list                # per robot (rows,)
+    G: np.ndarray          # (M, rows, nz)
+    h: np.ndarray          # (M, rows)
     z_star: np.ndarray     # (M, nz) unconstrained minimisers
     free: np.ndarray       # (M, N + 1, 2 d) free responses F
 
 
 def tick_qps(horizon: HorizonQp, ref: np.ndarray, ff: np.ndarray,
-             state: np.ndarray, halfspaces: Halfspaces, sections,
+             state: np.ndarray, halfspaces: Halfspaces,
              tolerance: float) -> TickQps:
     """Assemble the horizon QPs of every robot at one tick at once.
 
     ref (M, N + 1, 2 d) and ff (M, N + 1, d) are the reference windows,
     state (M, 2 d) the current states, and halfspaces the avoidance rows
-    of every robot against its J neighbours, (M, J, N + 1, ...).  sections
-    lists the cross-section facets (A, b) of steps 1..N, None where the
-    cross-section is flat.  A step constrains a robot by those facets
-    while its reference keeps a margin of _BOUNDARY_TOL from them, and
-    else by a +-tolerance box around the reference.
+    of every robot against its J neighbours, (M, J, N + 1, ...).  The tube
+    keeps each robot's position at steps 1..N within a +-tolerance box
+    around its own reference.
 
     Each robot's rows are, in order: the input limits, the slack signs,
-    the avoidance rows (neighbour j, step k), then the tube rows step by
-    step.  Avoidance rows share one nonnegative slack per step.
+    the avoidance rows (neighbour j, step k), then the box rows step by
+    step, upper bounds first.  Avoidance rows share one nonnegative slack
+    per step.
     """
     A, B, S = horizon.A, horizon.B, horizon.S
     N, d = horizon.steps, B.shape[1]
@@ -439,69 +414,43 @@ def tick_qps(horizon: HorizonQp, ref: np.ndarray, ff: np.ndarray,
     u_ref = ff[:, :N].reshape(M, n_u, 1)
     h_in = (horizon.input_limit
             + np.concatenate([u_ref, -u_ref], axis=2)).reshape(M, 2 * n_u)
-    # rows on p~_k = S_pos u~ + p_d,k - p_ff for steps 1..N, where p_ff
-    # is the absolute position reached by flying the feedforward alone
+    # avoidance rows on p~_k = S_pos u~ + p_d,k - p_ff for steps 1..N,
+    # where p_ff is the absolute position reached by flying the
+    # feedforward alone
     S_pos = S[1:, :d]
-    p_ref, F_pos = ref[:, 1:, :d], F[:, 1:, :d]
-    p_ff = p_ref - F_pos
+    F_pos = F[:, 1:, :d]
+    p_ff = ref[:, 1:, :d] - F_pos
     normals = halfspaces.normals[:, :, 1:]   # n . p~_k - s_k <= h
     J = normals.shape[1]
     h_av = (np.einsum("mjkd,mkd->mjk", normals, p_ff)
             - halfspaces.offsets[:, :, 1:]).reshape(M, J * N)
-
-    # facet rows -a . p~_k <= b - a . p_ff, shared by the robots whose
-    # reference at step k keeps its margin; the box rows of the others,
-    # -+p~_k <= eps_c, read -+S_pos u~ <= eps_c +- F_pos
-    facets = np.zeros((M, N), dtype=bool)
-    G_hull, h_hull = [None] * N, [None] * N
-    for k, rows in enumerate(sections):
-        if rows is None:
-            continue
-        a, b = rows
-        facets[:, k] = (b - p_ref[:, k] @ a.T).min(axis=1) > _BOUNDARY_TOL
-        if facets[:, k].any():
-            G_hull[k] = np.zeros((b.size, nz))
-            G_hull[k][:, :n_u] = -a @ S_pos[k]
-            h_hull[k] = b - p_ff[:, k] @ a.T
+    # the box rows -+p~_k <= eps_c read -+S_pos u~ <= eps_c +- F_pos
     h_box = np.concatenate([tolerance + F_pos, tolerance - F_pos], axis=2)
 
-    G_out, h_out = [None] * M, [None] * M
     fixed = horizon.G_bounds.shape[0]
-    groups = {}
-    for i, pattern in enumerate(facets):
-        groups.setdefault(pattern.tobytes(), []).append(i)
-    for robots in map(np.array, groups.values()):
-        pattern = facets[robots[0]]
-        G_pos = np.concatenate([G_hull[k] if pattern[k] else horizon.G_box[k]
-                                for k in range(N)])
-        G = np.zeros((robots.size, fixed + J * N + G_pos.shape[0], nz))
-        G[:, :fixed] = horizon.G_bounds
-        G_av = G[:, fixed:fixed + J * N].reshape(robots.size, J, N, nz)
-        G_av[..., :n_u] = (normals[robots, ..., None, :] @ S_pos)[..., 0, :]
-        G_av[..., np.arange(N), n_u + 1 + np.arange(N)] = -1.0
-        G[:, fixed + J * N:] = G_pos
-        h = np.concatenate(
-            [h_in[robots], np.zeros((robots.size, N + 1)), h_av[robots]]
-            + [h_hull[k][robots] if pattern[k] else h_box[robots, k]
-               for k in range(N)], axis=1)
-        h -= (G @ z_star[robots, :, None])[..., 0]
-        for i, G_i, h_i in zip(robots.tolist(), G, h):
-            G_out[i], h_out[i] = G_i, h_i
-    return TickQps(G_out, h_out, z_star, F)
+    G = np.zeros((M, fixed + J * N + 2 * d * N, nz))
+    G[:, :fixed] = horizon.G_bounds
+    G_av = G[:, fixed:fixed + J * N].reshape(M, J, N, nz)
+    G_av[..., :n_u] = (normals[..., None, :] @ S_pos)[..., 0, :]
+    G_av[..., np.arange(N), n_u + 1 + np.arange(N)] = -1.0
+    G[:, fixed + J * N:] = horizon.G_box.reshape(2 * d * N, nz)
+    h = np.concatenate([h_in, np.zeros((M, N + 1)), h_av,
+                        h_box.reshape(M, 2 * d * N)], axis=1)
+    h -= (G @ z_star[:, :, None])[..., 0]
+    return TickQps(G, h, z_star, F)
 
 
 def mpc_step(G: np.ndarray, h: np.ndarray, z_star: np.ndarray,
              horizon: HorizonQp, warm=None):
     """Solve one robot's horizon QP of a tick (see TickQps); returns its
-    solution z and the warm start for the robot's next call.
+    solution z and its final working set.
 
-    warm is the (row count, working set) pair returned by this robot's
-    previous call; its working set seeds the QP when the row count of
-    this call's inequalities is the same, else the QP starts cold.
+    warm is the working set this robot's previous call returned, None on
+    its first call; it seeds the QP, whose rows keep their layout from
+    tick to tick.
     """
-    working = warm[1] if warm is not None and warm[0] == G.shape[0] else None
-    sol = solve_qp(horizon.L_inv, G, h, working)
-    return sol.x + z_star, (G.shape[0], sol.working)
+    sol = solve_qp(horizon.L_inv, G, h, warm)
+    return sol.x + z_star, sol.working
 
 
 def horizon_plans(horizon: HorizonQp, ref: np.ndarray, ff: np.ndarray,
@@ -599,16 +548,14 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     others = np.arange(J) + (np.arange(J) >= np.arange(M)[:, None])
     prev_normals = np.full((M, J, d), np.nan)
     warm = [None] * M
-    hulls = {}
 
     used = 0
     for tick in range(ticks):
-        section_rows = _section_rows(refs, tick, N, hulls)
         hs = avoidance_halfspaces(preds, preds[others], avoidance,
                                   prev_normals)
         prev_normals = hs.normals[:, :, -1]
         ref, ff = reference_window(refs, tick, N)
-        qps = tick_qps(horizon, ref, ff, states[tick], hs, section_rows,
+        qps = tick_qps(horizon, ref, ff, states[tick], hs,
                        config.boundary_tolerance)
         z = np.empty_like(qps.z_star)
         for i in range(M):
@@ -642,21 +589,6 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     return SimLog(times=times, states=states[:used + 1],
                   inputs=inputs[:used], goals=goals, arrival_times=arrival,
                   timestep=Ts, max_slack=max_slack[:used])
-
-
-def _section_rows(refs: ReferenceGrid, tick: int, horizon: int,
-                  hulls: dict):
-    """Cross-section facet rows for steps 1..N of a tick (None when flat).
-
-    hulls caches the rows by grid entry for one simulation: every robot
-    shares the grid, so ticks revisit the same entries.
-    """
-    rows = []
-    for g in refs.index(np.arange(tick + 1, tick + horizon + 1)).tolist():
-        if g not in hulls:
-            hulls[g] = hull_inequalities(refs.sections[:, g])
-        rows.append(hulls[g])
-    return rows
 
 
 def compute_metrics(log: SimLog, time_limit: float,

@@ -10,18 +10,21 @@ runs alone.
 
 import dataclasses
 import time
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from tubeplan.cli import plan_tube
-from tubeplan.geometry import OrderPairSet, Terminal
-from tubeplan.mpcsim import compute_metrics, simulate
+from tubeplan.geometry import (OrderPairSet, Terminal, barycentric_weights,
+                               equispaced_weights)
+from tubeplan.mpcsim import (TimeScaling, compute_metrics, reference_grid,
+                             simulate)
 from tubeplan.scenario_io import load_scenario
 from tubeplan.trajopt import basis_row, evaluate
-from tubeplan.tube import (TrajectoryConfig, direct_member_solve,
-                           member_trajectory, tube_from_waypoints,
-                           verify_member_optimality)
+from tubeplan.tube import (TrajectoryConfig, check_weights,
+                           direct_member_solve, member_trajectory,
+                           tube_from_waypoints, verify_member_optimality)
 
 AUDITED = []   # (label, QpSolution) pairs accumulated by every criterion
 TUBES = []     # (label, tube) pairs whose trajectories get the hygiene audit
@@ -76,6 +79,40 @@ def tetra():
     tube = plan_tube(scenario)
     keep_tube("tetra", tube)
     return scenario, tube
+
+
+# one simulate run: the scenario and tube flown, the robots' starts, the
+# log and the wall time simulate took
+Run = namedtuple("Run", "scenario tube starts log wall")
+
+
+def fly(scenario, tube, starts):
+    start = time.perf_counter()
+    log = simulate(tube, starts, scenario.mpc, scenario.avoidance,
+                   time_limit=scenario.time_limit,
+                   goal_radius=scenario.goal_radius)
+    return Run(scenario, tube, starts, log, time.perf_counter() - start)
+
+
+@pytest.fixture(scope="module")
+def corridor_run(corridor):
+    scenario, tube = corridor
+    return fly(scenario, tube, scenario.robot_starts)
+
+
+@pytest.fixture(scope="module")
+def tetra_run(tetra):
+    scenario, tube = tetra
+    return fly(scenario, tube, scenario.robot_starts)
+
+
+@pytest.fixture(scope="module")
+def tetra_35_run(tetra):
+    """tetra_3d with robots.count 35: the lattice puts some robots strictly
+    inside the start terminal, at M = 35 and J = 34 neighbours each."""
+    scenario, tube = tetra
+    starts = equispaced_weights(35, 4) @ scenario.start_terminal.vertices
+    return fly(scenario, tube, starts)
 
 
 def straight_tube(segments, length=0.2, gap=0.04):
@@ -253,14 +290,9 @@ def min_pairwise_distance_per_tick(log):
     return worst
 
 
-def test_criterion_6_eleven_robots_cross_the_corridor_safely(corridor):
-    scenario, tube = corridor
+def test_criterion_6_eleven_robots_cross_the_corridor_safely(corridor_run):
+    scenario, _, _, log, wall = corridor_run
     assert scenario.robot_starts.shape == (11, 2)
-    start = time.perf_counter()
-    log = simulate(tube, scenario.robot_starts, scenario.mpc,
-                   scenario.avoidance, time_limit=scenario.time_limit,
-                   goal_radius=scenario.goal_radius)
-    wall = time.perf_counter() - start
     metrics = compute_metrics(log, scenario.time_limit, scenario.goal_radius)
     closest = min_pairwise_distance_per_tick(log)
     report(6, metrics.arrival_rate == 1.0 and closest >= 1.0 and wall < 120.0,
@@ -269,13 +301,10 @@ def test_criterion_6_eleven_robots_cross_the_corridor_safely(corridor):
            f"simulated {log.times[-1]:.1f}s in {wall:.0f}s wall (< 120s)")
 
 
-def test_criterion_7_twenty_robots_fly_the_tetrahedral_tube(tetra):
-    scenario, tube = tetra
+def test_criterion_7_twenty_robots_fly_the_tetrahedral_tube(tetra_run):
+    scenario, tube, _, log, _ = tetra_run
     assert tube.count == 4 and tube.dim == 3
     assert scenario.robot_starts.shape == (20, 3)
-    log = simulate(tube, scenario.robot_starts, scenario.mpc,
-                   scenario.avoidance, time_limit=scenario.time_limit,
-                   goal_radius=scenario.goal_radius)
     metrics = compute_metrics(log, scenario.time_limit, scenario.goal_radius)
     closest = min_pairwise_distance_per_tick(log)
     safety = scenario.avoidance.safety_distance
@@ -304,6 +333,37 @@ def test_tetrahedral_tube_flies_at_horizon_14(tetra):
     metrics = compute_metrics(log, scenario.time_limit, scenario.goal_radius)
     assert metrics.arrival_rate == 1.0
     assert (min_pairwise_distance_per_tick(log)
+            >= scenario.avoidance.safety_distance)
+
+
+def reference_gap(run):
+    """Largest distance (infinity norm) between a logged position and the
+    reference of the robot's own member at the same tick."""
+    scenario, tube, starts, log, _ = run
+    thetas = np.array([check_weights(barycentric_weights(
+        p, tube.pairs.starts), tube.count) for p in starts])
+    ticks = log.times.size
+    grid = reference_grid(
+        tube.basis_x, tube.knots, tube.config.order, thetas,
+        TimeScaling(tube.chord_total, scenario.mpc.reference_speed), ticks,
+        scenario.mpc.timestep)
+    ref = grid.states[:, grid.index(np.arange(ticks)), :log.dim]
+    return float(np.abs(log.states[:, :, :log.dim]
+                        - ref.swapaxes(0, 1)).max())
+
+
+@pytest.mark.parametrize("run", ["corridor_run", "tetra_run", "tetra_35_run"])
+def test_every_robot_stays_in_the_box_around_its_reference(run, request):
+    run = request.getfixturevalue(run)
+    assert (reference_gap(run)
+            <= run.scenario.mpc.boundary_tolerance + 1e-9)
+
+
+def test_thirty_five_robots_fly_the_tetrahedral_tube_safely(tetra_35_run):
+    scenario, _, _, log, _ = tetra_35_run
+    metrics = compute_metrics(log, scenario.time_limit, scenario.goal_radius)
+    assert metrics.arrival_rate == 1.0
+    assert (metrics.min_pairwise_distance
             >= scenario.avoidance.safety_distance)
 
 

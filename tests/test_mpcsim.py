@@ -4,23 +4,22 @@ import pytest
 from tubeplan.geometry import OrderPairSet, Terminal
 from tubeplan.knots import KnotVector
 from tubeplan import mpcsim
-from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters,
-                             DiscreteDynamics, Halfspaces, MpcConfig, SimLog,
-                             StartOutsideTerminal, TimeScaling,
-                             avoidance_halfspaces, compute_metrics,
-                             horizon_plans, horizon_qp, hull_inequalities,
-                             mpc_step, reference_grid, reference_window,
-                             simulate, tick_qps, _section_rows)
+from tubeplan.mpcsim import (AvoidanceModel, CoincidentCenters, Halfspaces,
+                             MpcConfig, SimLog, StartOutsideTerminal,
+                             TimeScaling, avoidance_halfspaces,
+                             compute_metrics, horizon_plans, horizon_qp,
+                             hull_inequalities, mpc_step, reference_grid,
+                             reference_window, simulate, tick_qps)
 from tubeplan import trajopt
 from tubeplan.trajopt import PiecewisePolynomial, RankDeficient
-from tubeplan.tube import (TrajectoryConfig, cross_section, member_trajectory,
+from tubeplan.tube import (TrajectoryConfig, member_trajectory,
                            tube_from_waypoints)
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
 
 
 def test_dynamics_matrices():
-    dyn = DiscreteDynamics(0.1, 2)
+    dyn = horizon_qp(MpcConfig(timestep=0.1), 2, 3)
     assert np.allclose(dyn.A, [[1.0, 0.0, 0.1, 0.0],
                                [0.0, 1.0, 0.0, 0.1],
                                [0.0, 0.0, 0.0, 0.0],
@@ -121,38 +120,6 @@ def test_reference_grid_matches_per_step_reference():
         assert np.abs(ref[:, :2] - goal).max() <= 1e-12
         assert np.array_equal(ref[:, 2:], np.zeros((N + 1, 2)))
         assert np.array_equal(ff, np.zeros((N + 1, 2)))
-    # cross-sections are the basis positions of the same grid
-    for g in (0, 17, grid.params.size - 1):
-        section = cross_section(tube, grid.params[g]).points
-        assert np.abs(grid.sections[:, g] - section).max() <= 1e-12
-
-
-def test_section_rows_follow_the_horizon_steps():
-    # three paths whose triangular cross-section shrinks along the tube
-    xs = np.linspace(0.0, 12.0, 7)[:, None]
-    shrink = 1.0 - xs / 24.0
-    corners = np.array([[0.0, -2.0], [0.0, 2.0], [-1.5, 0.0]])
-    waypoints = np.array([np.hstack([xs + c[0] * shrink, c[1] * shrink])
-                          for c in corners])
-    pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
-                         Terminal(waypoints[:, -1, :]), np.arange(3))
-    tube = tube_from_waypoints(
-        pairs, waypoints, TrajectoryConfig(segments=6, corridor_mode="none"))
-    grid = reference_grid(tube.basis_x, tube.knots, tube.config.order,
-                          np.eye(3), TimeScaling(tube.chord_total, 2.5), 80,
-                          0.1)
-    probes = np.random.default_rng(2).uniform([0.0, -2.0], [12.0, 2.0],
-                                              (20, 2))
-    tick, N = 7, 10
-    rows = _section_rows(grid, tick, N, {})
-    assert len(rows) == N
-    # row k belongs to step k + 1 of the horizon
-    for k, facets in enumerate(rows):
-        section = cross_section(tube, grid.params[tick + k + 1]).points
-        ref = hull_inequalities(section)
-        for p in probes:
-            assert _margin(facets, p) == pytest.approx(_margin(ref, p),
-                                                       abs=1e-12)
 
 
 def test_avoidance_tangent_oracle():
@@ -311,15 +278,14 @@ WIDE = 1e3
 
 def _solve(state, window, hs, horizon, tolerance, warm=None):
     """One robot's horizon QP, assembled by tick_qps on a swarm of one
-    robot without tube facets; returns its first input, plan, largest
-    slack and warm start."""
+    robot; returns its first input, plan, largest slack and final
+    working set."""
     ref, ff = (w[None] for w in window)
     N, d = horizon.steps, ff.shape[2]
     if hs is None:
         hs = Halfspaces(np.zeros((0, N + 1, d)), np.zeros((0, N + 1)))
     qps = tick_qps(horizon, ref, ff, state[None],
-                   Halfspaces(hs.normals[None], hs.offsets[None]),
-                   [None] * N, tolerance)
+                   Halfspaces(hs.normals[None], hs.offsets[None]), tolerance)
     z, warm = mpc_step(qps.G[0], qps.h[0], qps.z_star[0], horizon, warm)
     u0, plan, slack = horizon_plans(horizon, ref, ff, qps.free, z[None])
     return u0[0], plan[0], slack[0], warm
@@ -362,12 +328,11 @@ def test_mpc_step_matches_state_space_kkt():
     far = np.tile([40.0, 40.0], (N + 1, 1))
     hs = avoidance_halfspaces(ref[:, :d], far,
                               AvoidanceModel(axes=np.array([0.5, 0.5])))
-    u0, plan, slack, _ = _solve(state, window, hs, _horizon(config, window),
-                                5.0)
+    dyn = _horizon(config, window)
+    u0, plan, slack, _ = _solve(state, window, hs, dyn, 5.0)
 
     # independent oracle: the uncondensed QP over z = [x~_0..x~_N,
     # u~_0..u~_{N-1}] with the error dynamics as equalities, one KKT solve
-    dyn = DiscreteDynamics(config.timestep, d)
     stage = np.repeat([config.position_weight, config.velocity_weight], d)
     weights = np.concatenate([np.tile(stage, N),
                               config.terminal_weight_scale * stage,
@@ -421,14 +386,12 @@ def test_mpc_step_holds_active_rows(monkeypatch):
     assert np.array_equal(u0_w, u0) and np.array_equal(plan_w, plan)
     # a stale set pinning both bounds of one input fails its first solve
     # and is dropped for a cold start
-    u0_s, plan_s, _, _ = _solve(state, window, hs, horizon, eps,
-                                (warm[0], [0, 1]))
+    u0_s, plan_s, _, _ = _solve(state, window, hs, horizon, eps, [0, 1])
     assert len(solves) == 2 * cold + 2
     assert np.abs(u0_s - u0).max() <= 1e-12
     assert np.abs(plan_s - plan).max() <= 1e-12
-    dyn = DiscreteDynamics(config.timestep, d)
     assert np.abs(plan[0] - state).max() <= 1e-12
-    assert np.abs(plan[1] - (dyn.A @ state + dyn.B @ u0)).max() <= 1e-9
+    assert np.abs(plan[1] - (horizon.A @ state + horizon.B @ u0)).max() <= 1e-9
     p = plan[1:, :d]
     margin = (hs.normals[0, 1:] * p).sum(axis=1) - hs.offsets[0, 1:]
     assert margin.min() >= -slack - 1e-8
@@ -491,12 +454,11 @@ def test_simulate_factors_the_horizon_hessian_once(monkeypatch):
     assert all(f is factors[0] for f in factors)
 
 
-def test_position_rows_switch_to_box_on_boundary():
-    # tube rows hold a . p_k <= b in absolute position: the square's
-    # facets at step 1, whose reference is interior, and a box of
-    # half-width 0.5 at step 2, whose reference sits on a facet
-    square = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]])
-    rows = hull_inequalities(square)
+def test_interior_reference_gets_box_rows():
+    # tube rows hold |p_k - p_d,k| <= 0.5 per axis in absolute position,
+    # upper bounds first, whether the reference lies deep inside the
+    # cross-section (step 1, the centre of a 4 m square) or on its
+    # boundary (step 2, on a facet)
     config = MpcConfig(horizon=2, boundary_tolerance=0.5)
     horizon = horizon_qp(config, 2, 2)
     ref = np.zeros((1, 3, 4))
@@ -505,7 +467,7 @@ def test_position_rows_switch_to_box_on_boundary():
     ff = np.zeros((1, 3, 2))
     state = np.array([[1.5, 2.0, 3.0, -1.0]])
     none = Halfspaces(np.zeros((1, 0, 3, 2)), np.zeros((1, 0, 3)))
-    qps = tick_qps(horizon, ref, ff, state, none, [rows, rows], 0.5)
+    qps = tick_qps(horizon, ref, ff, state, none, 0.5)
     G, h = qps.G[0], qps.h[0]
     tube = slice(horizon.G_bounds.shape[0], None)
     assert G[tube].shape[0] == 4 + 4
@@ -514,12 +476,12 @@ def test_position_rows_switch_to_box_on_boundary():
         _, plan, _ = horizon_plans(horizon, ref, ff, qps.free, z[None])
         p1, p2 = plan[0, 1, :2], plan[0, 2, :2]
         residual = (G @ (z - qps.z_star[0]) - h)[tube]
-        box = np.concatenate([p2 - [4.5, 2.5], [3.5, 1.5] - p2])
-        assert np.allclose(residual, np.concatenate([rows[0] @ p1 - rows[1],
-                                                     box]), atol=1e-12)
+        box = np.concatenate([p1 - [2.5, 2.5], [1.5, 1.5] - p1,
+                              p2 - [4.5, 2.5], [3.5, 1.5] - p2])
+        assert np.allclose(residual, box, atol=1e-12)
 
 
-def _tick_by_robot(horizon, ref, ff, state, hs, sections, tolerance):
+def _tick_by_robot(horizon, ref, ff, state, hs, tolerance):
     """Reference per-robot assembly of one robot's horizon QP, row by row
     as tick_qps orders them: the shifted (G, h) and z_star."""
     A, B, S = horizon.A, horizon.B, horizon.S
@@ -548,13 +510,10 @@ def _tick_by_robot(horizon, ref, ff, state, hs, sections, tolerance):
     G_parts.append(G_av.reshape(-1, nz))
     h_parts.append((np.einsum("jkd,kd->jk", normals, p_ff)
                     - hs.offsets[:, 1:]).ravel())
-    box_A = np.vstack([np.eye(d), -np.eye(d)])
+    a = np.vstack([np.eye(d), -np.eye(d)])
     for k in range(N):
-        p_d, rows = ref[k + 1, :d], sections[k]
-        if rows is None or _margin(rows, p_d) <= mpcsim._BOUNDARY_TOL:
-            rows = (box_A, np.concatenate([p_d + tolerance,
-                                           tolerance - p_d]))
-        a, b = rows
+        p_d = ref[k + 1, :d]
+        b = np.concatenate([p_d + tolerance, tolerance - p_d])
         G_k = np.zeros((b.size, nz))
         G_k[:, :n_u] = -a @ S_pos[k]
         G_parts.append(G_k)
@@ -564,8 +523,8 @@ def _tick_by_robot(horizon, ref, ff, state, hs, sections, tolerance):
 
 
 def test_tick_qps_match_the_per_robot_assembly(monkeypatch):
-    # a triangular tube that shrinks along its length; interior members
-    # at off-lattice weights take facet rows, a vertex member box rows
+    # a triangular tube that shrinks along its length, flown by interior
+    # members at off-lattice weights and by a vertex member
     xs = np.linspace(0.0, 12.0, 7)[:, None]
     shrink = 1.0 - xs / 24.0
     corners = np.array([[0.0, -2.0], [0.0, 2.0], [-1.5, 0.0]])
@@ -610,15 +569,15 @@ def test_tick_qps_match_the_per_robot_assembly(monkeypatch):
     assert len(ticks) == log.inputs.shape[0]
     assert len(calls) == M * len(ticks)
     monkeypatch.setattr(trajopt, "_kkt_solve", kkt_solve)
-    mixed = False
-    for t, ((horizon, ref, ff, state, hs, sections, tol), qps) in enumerate(
-            ticks):
-        counts = {G.shape[0] for G in qps.G}
-        mixed |= len(counts) > 1
+    N, d = config.horizon, 2
+    for t, ((horizon, ref, ff, state, hs, tol), qps) in enumerate(ticks):
+        # every robot has the same row layout, the box's 2 d rows per step
+        assert qps.G.shape[1] == (horizon.G_bounds.shape[0] + (M - 1) * N
+                                  + 2 * d * N)
         for i in range(M):
             G, h, z_star = _tick_by_robot(
                 horizon, ref[i], ff[i], state[i],
-                Halfspaces(hs.normals[i], hs.offsets[i]), sections, tol)
+                Halfspaces(hs.normals[i], hs.offsets[i]), tol)
             assert qps.G[i].shape == G.shape
             assert np.abs(qps.G[i] - G).max() <= 1e-12
             assert np.abs(qps.h[i] - h).max() <= 1e-12 * max(
@@ -628,19 +587,10 @@ def test_tick_qps_match_the_per_robot_assembly(monkeypatch):
             # the same QP from the same warm start takes the same KKT
             # solves to the same working set
             warm, out, solved = calls[t * M + i]
-            working = (warm[1] if warm is not None and warm[0] == G.shape[0]
-                       else None)
-            sol = trajopt.solve_qp(horizon.L_inv, G, h, working)
+            sol = trajopt.solve_qp(horizon.L_inv, G, h, warm)
             previous = calls[t * M + i - 1][2] if t * M + i else 0
-            assert out == (G.shape[0], sol.working)
+            assert out == sol.working
             assert sol.iterations == solved - previous
-    # the robots of one tick mixed facet and box rows: the vertex robot
-    # takes a box (4 rows) at every step, others a triangle's 3 facets
-    N = config.horizon
-    all_box = 2 * 2 * N + (M - 1) * N + horizon.G_bounds.shape[0]
-    assert mixed
-    assert ticks[0][1].G[3].shape[0] == all_box
-    assert min(G.shape[0] for _, qps in ticks for G in qps.G) < all_box
 
 
 def straight_pair_tube():
@@ -663,7 +613,7 @@ def test_simulate_single_robot_arrives():
                    time_limit=12.0, goal_radius=0.2)
     assert np.isfinite(log.arrival_times).all()
     # the log replays exactly under the discrete dynamics
-    dyn = DiscreteDynamics(config.timestep, 2)
+    dyn = horizon_qp(config, 2, config.horizon)
     for t in range(log.inputs.shape[0]):
         predicted = dyn.A @ log.states[t, 0] + dyn.B @ log.inputs[t, 0]
         assert np.allclose(log.states[t + 1, 0], predicted, atol=1e-12)
