@@ -24,7 +24,7 @@ from .scenario_io import (IoError, ParseError, Scenario, ValidationError,
 from .trajopt import (Infeasible, MaxIterations, OutOfDomain, RankDeficient,
                       evaluate_grid)
 from .tube import (InvalidWeights, build_tube, check_weights,
-                   combination_benchmark, verify_member_optimality)
+                   verify_member_optimality)
 
 _VALIDATION_ERRORS = (ParseError, ValidationError, VersionError,
                       DegenerateTerminal, PointOutsideHull, SizeMismatch,
@@ -73,7 +73,7 @@ def cmd_plan(args) -> int:
     save_tube(tube, args.out)
     print(f"planned tube: {tube.count} basis members, "
           f"{tube.knots.segments} segments, dimension {tube.dim}, "
-          f"{tube.qp_solves} QP solves")
+          f"{tube.count} QP solves")
     print(f"wrote {args.out}")
     return 0
 
@@ -122,12 +122,6 @@ def cmd_verify(args) -> int:
               f"  variational={report.variational_min:.3e}")
         if not report.passed:
             failures += 1
-    rows = combination_benchmark(tube, counts=(args.count or 10,))
-    for row in rows:
-        print(f"benchmark: {row.members} members, "
-              f"{row.member_seconds * 1e6:.1f} us/member combined vs "
-              f"{row.direct_seconds * 1e3:.2f} ms/direct solve "
-              f"({row.ratio:.0f}x)")
     if failures:
         print(f"{failures} member(s) failed verification", file=sys.stderr)
         return 4
@@ -183,7 +177,7 @@ def _parser() -> argparse.ArgumentParser:
     members.set_defaults(func=cmd_members)
 
     verify = sub.add_parser(
-        "verify", help="audit member optimality and benchmark combination")
+        "verify", help="audit the optimality of sampled members")
     verify.add_argument("--tube", required=True)
     verify.add_argument("--count", type=int, default=5,
                         help="members beyond the basis vertices")

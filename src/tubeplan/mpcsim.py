@@ -472,7 +472,6 @@ class SimLog:
     states: np.ndarray       # (T + 1, M, 2 d)
     inputs: np.ndarray       # (T, M, d)
     goals: np.ndarray        # (M, d)
-    arrival_times: np.ndarray
     timestep: float
     max_slack: np.ndarray    # (T, M)
 
@@ -538,7 +537,7 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     states[0, :, :d] = starts
     inputs = np.zeros((ticks, M, d))
     max_slack = np.zeros((ticks, M))
-    arrival = np.full(M, np.inf)
+    arrived = np.zeros(M, dtype=bool)
 
     # predicted positions per robot, aligned to the *current* tick
     steps = np.arange(N + 1)[:, None] * Ts
@@ -578,17 +577,15 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
         states[tick + 1] = (np.einsum("ij,mj->mi", horizon.A, states[tick])
                             + np.einsum("ij,mj->mi", horizon.B, inputs[tick]))
         used = tick + 1
-        now = (tick + 1) * Ts
         dists = np.linalg.norm(states[tick + 1, :, :d] - goals, axis=1)
-        newly = (dists <= goal_radius) & ~np.isfinite(arrival)
-        arrival[newly] = now
-        if np.all(np.isfinite(arrival)):
+        arrived |= dists <= goal_radius
+        if arrived.all():
             break
 
     times = np.arange(used + 1) * Ts
     return SimLog(times=times, states=states[:used + 1],
-                  inputs=inputs[:used], goals=goals, arrival_times=arrival,
-                  timestep=Ts, max_slack=max_slack[:used])
+                  inputs=inputs[:used], goals=goals, timestep=Ts,
+                  max_slack=max_slack[:used])
 
 
 def compute_metrics(log: SimLog, time_limit: float,

@@ -6,8 +6,10 @@ table per settings class maps a scenario key to its field and parser; an
 absent key keeps the field's default, and each check lives in its class.
 README's "Scenario documents" lists every key.  Tubes round-trip through
 JSON exactly: floats are written with repr precision (17 significant
-digits), which is bit-faithful for IEEE doubles.  ``tube.tube_structure``
-rebuilds a loaded tube's structure as planning does.
+digits), which is bit-faithful for IEEE doubles.  A tube document holds
+only what fixes the tube (settings, vertex pairs, waypoints, basis) and
+the basis right-hand sides as a check value; ``tube.tube_from_waypoints``
+rebuilds everything else as planning does.
 """
 
 import csv
@@ -20,16 +22,16 @@ from scipy.optimize import linprog
 
 from .geometry import (PointOutsideHull, Terminal, barycentric_weights,
                        equispaced_weights, OrderPairSet)
-from .knots import KnotVector
 from .mpcsim import AvoidanceModel, Metrics, MpcConfig, SimLog
 from .pathfinder import ObstacleSet, RrtConfig
-from .tube import OptimalVirtualTube, TrajectoryConfig, tube_structure
+from .trajopt import RankDeficient
+from .tube import OptimalVirtualTube, TrajectoryConfig, tube_from_waypoints
 
 SCHEMA_VERSION = 1  # scenario documents
-# tube documents: version 2 stores each segment's coefficients in local
-# time (see trajopt); version 1 tubes, in global normalized time, are
-# rejected, not converted
-TUBE_SCHEMA_VERSION = 2
+# tube documents: version 3 stores no derived value but basis_b; version 2
+# also stored the knots, chord length, dimension and QP count, and
+# version 1 global-time coefficients.  Both are rejected, not converted.
+TUBE_SCHEMA_VERSION = 3
 # largest |A basis_x - basis_b| entry a loaded tube may carry
 _BASIS_TOL = 1e-8
 
@@ -176,6 +178,12 @@ SCENARIO_KEYS = frozenset((
 _SECTIONS = sorted({""} | {key[:i] for key in SCENARIO_KEYS
                            for i, c in enumerate(key)
                            if c == "." and "[" not in key[:i]})
+_SCENARIO_NAMES = SCENARIO_KEYS.union(_SECTIONS)
+# every key of a tube document, "config" holding the trajectory settings
+TUBE_KEYS = frozenset((
+    "schema_version", "kind", "config", "start_vertices", "goal_vertices",
+    "pairing", "waypoints", "basis_x", "basis_b")).union(
+        f"config.{field}" for field, _ in _TRAJECTORY_KEYS.values())
 _ABSENT = object()
 
 
@@ -188,12 +196,12 @@ def _get(doc, path, default=_ABSENT):
     return doc.get(key, default)
 
 
-def _known_keys(obj: dict, name: str, path: str) -> None:
+def _known_keys(obj: dict, name: str, path: str, known) -> None:
     """Reject the first key of the object at path (name: path without
-    list indices) that SCENARIO_KEYS does not hold."""
+    list indices) whose dotted name is not in known.  A key that holds a
+    dot is never known: it would pass for a nested key."""
     for key in obj:
-        known = f"{name}.{key}" if name else key
-        if known not in SCENARIO_KEYS and known not in _SECTIONS:
+        if "." in key or (f"{name}.{key}" if name else key) not in known:
             raise ValidationError(
                 f"{f'{path}.{key}' if path else key}: unknown key")
 
@@ -256,7 +264,7 @@ def load_scenario(path) -> Scenario:
     for section in _SECTIONS:     # a section comes before its subsections
         obj = _get(doc, section, {}) if section else doc
         if isinstance(obj, dict):
-            _known_keys(obj, section, section)
+            _known_keys(obj, section, section, _SCENARIO_NAMES)
         elif section != "robots":    # robots may also be a list of points
             raise ValidationError(f"{section}: expected an object")
     dim = _integer(_get(doc, "dimension", 2), "dimension")
@@ -275,7 +283,8 @@ def load_scenario(path) -> Scenario:
         if not isinstance(box, dict) or "min" not in box or "max" not in box:
             raise ValidationError(
                 f"obstacles.boxes[{i}]: expected an object with min and max")
-        _known_keys(box, "obstacles.boxes[]", f"obstacles.boxes[{i}]")
+        _known_keys(box, "obstacles.boxes[]", f"obstacles.boxes[{i}]",
+                    _SCENARIO_NAMES)
         lo = _points([box["min"]], f"obstacles.boxes[{i}].min", dim)[0]
         hi = _points([box["max"]], f"obstacles.boxes[{i}].max", dim)[0]
         if np.any(hi <= lo):
@@ -357,43 +366,39 @@ def save_tube(tube: OptimalVirtualTube, path) -> None:
     doc = {
         "schema_version": TUBE_SCHEMA_VERSION,
         "kind": "virtual-tube",
-        "dimension": tube.dim,
         "config": {field: getattr(cfg, field)
                    for field, _ in _TRAJECTORY_KEYS.values()},
-        "knots": tube.knots.u.tolist(),
-        "chord_total": tube.chord_total,
         "start_vertices": tube.pairs.starts.vertices.tolist(),
         "goal_vertices": tube.pairs.goals.vertices.tolist(),
         "pairing": tube.pairs.pairing.tolist(),
         "waypoints": tube.waypoints.tolist(),
         "basis_x": tube.basis_x.tolist(),
         "basis_b": tube.basis_b.tolist(),
-        "qp_solves": tube.qp_solves,
     }
     _write_json(doc, path)
 
 
 def load_tube(path) -> OptimalVirtualTube:
-    """Rebuild a tube from JSON; derived matrices are reassembled from the
-    stored knots, waypoints, and configuration.
+    """Rebuild a tube from JSON through ``tube.tube_from_waypoints``: the
+    knots, matrices and right-hand sides come from the stored settings
+    and waypoints.
 
-    The stored basis must satisfy A x = basis_b, and basis_b must match the
-    right-hand sides rebuilt from the waypoints, both within 1e-8.
+    The stored basis_b must match the rebuilt right-hand sides, and
+    basis_x must satisfy A x = basis_b, both within 1e-8.
     """
     doc = _read_document(path, TUBE_SCHEMA_VERSION)
+    _known_keys(doc, "", "", TUBE_KEYS)
+    if isinstance(doc.get("config"), dict):
+        _known_keys(doc["config"], "config", "config", TUBE_KEYS)
     if doc.get("kind") != "virtual-tube":
         raise ValidationError("kind must be 'virtual-tube'")
     bad = _non_finite_path(doc)
     if bad is not None:
         raise ValidationError(f"{bad}: number must be finite")
     try:
-        dim = _integer(doc["dimension"], "dimension")
         cfg = TrajectoryConfig(**{
             field: parse(doc["config"][field], f"config.{field}")
             for field, parse in _TRAJECTORY_KEYS.values()})
-        knots = KnotVector(np.array(doc["knots"], dtype=float),
-                           normalized=True)
-        chord_total = _number(doc["chord_total"], "chord_total")
         starts = Terminal(np.array(doc["start_vertices"], dtype=float))
         goals = Terminal(np.array(doc["goal_vertices"], dtype=float))
         pairing = [_integer(k, f"pairing[{i}]")
@@ -402,45 +407,40 @@ def load_tube(path) -> OptimalVirtualTube:
         waypoints = np.array(doc["waypoints"], dtype=float)
         basis_x = np.array(doc["basis_x"], dtype=float)
         basis_b = np.array(doc["basis_b"], dtype=float)
-        qp_solves = _integer(doc.get("qp_solves", 0), "qp_solves")
     except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"malformed tube document: {err}") from err
     if waypoints.ndim != 3 or waypoints.shape[0] != pairs.count:
         raise ValidationError("waypoints shape mismatch")
-    if dim not in (2, 3) or pairs.dim != dim or waypoints.shape[2] != dim:
+    if pairs.dim not in (2, 3) or waypoints.shape[2] != pairs.dim:
         raise ValidationError(
-            f"dimension {dim} must be 2 or 3 and match the {pairs.dim}-D "
-            f"vertices and {waypoints.shape[2]}-D waypoints")
-    if chord_total <= 0:
-        raise ValidationError("chord_total must be positive")
-    if knots.segments != cfg.segments:
-        raise ValidationError(f"config.segments is {cfg.segments}, but the "
-                              f"knots span {knots.segments} segments")
+            f"the vertices are {pairs.dim}-D and the waypoints "
+            f"{waypoints.shape[2]}-D; both must be 2-D or 3-D")
+    if waypoints.shape[1] != cfg.segments + 1:
+        raise ValidationError(
+            f"config.segments is {cfg.segments}, but the waypoints span "
+            f"{waypoints.shape[1] - 1} segments")
     try:
-        A, rhs, cost, corridor = tube_structure(waypoints, knots, cfg)
-    except ValueError as err:
+        tube = tube_from_waypoints(pairs, waypoints, cfg, basis_x)
+    except (ValueError, RankDeficient) as err:   # the settings are invalid
         raise ValidationError(f"tube structure: {err}") from err
-    rows, cols = A.shape
+    rows, cols = tube.A.shape
     if (basis_x.shape != (pairs.count, cols)
             or basis_b.shape != (pairs.count, rows)):
         raise ValidationError(
             f"basis arrays inconsistent with configuration: "
-            f"A is {A.shape}, basis_x is {basis_x.shape}, "
+            f"A is {tube.A.shape}, basis_x is {basis_x.shape}, "
             f"basis_b is {basis_b.shape}")
-    residual = float(np.abs(A @ basis_x.T - basis_b.T).max())
-    if residual > _BASIS_TOL:
-        raise ValidationError(
-            f"basis_x misses A x = basis_b by {residual:.3e} "
-            f"(tolerance {_BASIS_TOL:.0e})")
-    drift = float(np.abs(rhs - basis_b).max())
+    drift = float(np.abs(tube.basis_b - basis_b).max())
     if drift > _BASIS_TOL:
         raise ValidationError(
             f"basis_b differs from the right-hand sides rebuilt from the "
             f"waypoints by {drift:.3e} (tolerance {_BASIS_TOL:.0e})")
-    return OptimalVirtualTube(
-        pairs=pairs, config=cfg, knots=knots, chord_total=chord_total,
-        waypoints=waypoints, A=A, basis_x=basis_x, basis_b=basis_b,
-        cost=cost, corridor=corridor, solutions=None, qp_solves=qp_solves)
+    residual = float(np.abs(tube.A @ basis_x.T - tube.basis_b.T).max())
+    if residual > _BASIS_TOL:
+        raise ValidationError(
+            f"basis_x misses A x = basis_b by {residual:.3e} "
+            f"(tolerance {_BASIS_TOL:.0e})")
+    return tube
 
 
 def save_log(log: SimLog, path) -> None:

@@ -56,15 +56,6 @@ def basis_row(tau: float, deriv: int, order: int,
 
 
 @dataclass
-class EqualitySystem:
-    """Stacked equality constraints A x = b with named row blocks."""
-
-    A: np.ndarray
-    b: np.ndarray
-    blocks: dict
-
-
-@dataclass
 class CostSpec:
     """Energy Hessian for objective x^T H x."""
 
@@ -96,8 +87,9 @@ def _place(row_scalar: np.ndarray, seg: int, order: int, dim: int,
 
 
 def assemble_equality(waypoints, knots: KnotVector, order: int,
-                      continuity: int) -> EqualitySystem:
-    """Interpolation + continuity + endpoint-derivative equalities.
+                      continuity: int) -> np.ndarray:
+    """Matrix A of the interpolation + continuity + endpoint-derivative
+    equalities A x = b; ``equality_rhs`` gives b.
 
     Row blocks, in order:
       continuity: derivatives 0..continuity match across interior knots;
@@ -121,15 +113,12 @@ def assemble_equality(waypoints, knots: KnotVector, order: int,
         return _place(basis_row(tau, p, order, h[seg]), seg, order, dim, m)
 
     a_rows = []
-    n_cont = (m - 1) * (continuity + 1) * dim
     for i in range(1, m):
         for p in range(continuity + 1):
             a_rows.append(at(i - 1, 1.0, p) - at(i, 0.0, p))
-    n_way = (m + 1) * dim
     for i in range(m):
         a_rows.append(at(i, 0.0, 0))
     a_rows.append(at(m - 1, 1.0, 0))
-    n_term = 2 * continuity * dim
     for p in range(continuity, 0, -1):
         a_rows.append(at(0, 0.0, p))
     for p in range(continuity, 0, -1):
@@ -140,10 +129,7 @@ def assemble_equality(waypoints, knots: KnotVector, order: int,
     if rank < A.shape[0]:
         raise RankDeficient(
             f"equality rows are dependent ({A.shape[0]} rows, rank {rank})")
-    blocks = {"continuity": (0, n_cont),
-              "waypoints": (n_cont, n_cont + n_way),
-              "terminal": (n_cont + n_way, n_cont + n_way + n_term)}
-    return EqualitySystem(A, equality_rhs(pts, continuity), blocks)
+    return A
 
 
 def equality_rhs(waypoints, continuity: int) -> np.ndarray:

@@ -5,9 +5,10 @@ All basis problems share the same equality matrix, cost Hessian, and (in
 strict corridor mode) the same inequality rows; only the right-hand sides
 differ.  Any member with simplex weights theta is then optimal for the
 combined right-hand side and costs one matrix-vector product instead of a
-full QP solve.  ``tube_structure`` is the one place that derives this
-shared structure: planning (``build_tube`` through ``tube_from_waypoints``)
-and loading (``scenario_io.load_tube``) both call it.
+full QP solve.  A tube is fixed by its settings, vertex pairs, equalized
+waypoints and basis solutions; ``tube_structure`` derives everything else
+from them, and ``tube_from_waypoints`` is the one builder that planning
+(``build_tube``) and loading (``scenario_io.load_tube``) both call.
 """
 
 import time
@@ -68,20 +69,22 @@ class TrajectoryConfig:
 
 @dataclass
 class OptimalVirtualTube:
-    """Basis solutions plus everything needed to combine and audit members."""
+    """Basis solutions plus everything needed to combine and audit members.
+
+    Built only by ``tube_from_waypoints``: every field past ``basis_x``
+    is derived from the ones before it by ``tube_structure``.
+    """
 
     pairs: OrderPairSet
     config: TrajectoryConfig
+    waypoints: np.ndarray        # (q, m + 1, d) equalized waypoints
+    basis_x: np.ndarray          # (q, n_t) stacked basis coefficients
     knots: KnotVector            # normalized, shared by every member
     chord_total: float           # mean chord length before normalization
-    waypoints: np.ndarray        # (q, m + 1, d) equalized waypoints
     A: np.ndarray                # shared equality matrix
-    basis_x: np.ndarray          # (q, n_t) stacked basis coefficients
     basis_b: np.ndarray          # (q, rows) stacked right-hand sides
     cost: CostSpec
     corridor: AffineInequalities | None          # shared rows (strict mode)
-    solutions: list | None                       # build-time audits, if any
-    qp_solves: int
 
     @property
     def count(self) -> int:
@@ -116,14 +119,15 @@ def check_weights(theta, count: int) -> np.ndarray:
     return theta if low >= 0.0 else np.maximum(theta, 0.0)
 
 
-def tube_structure(waypoints: np.ndarray, knots: KnotVector,
-                   config: TrajectoryConfig):
+def tube_structure(waypoints: np.ndarray, config: TrajectoryConfig):
     """What every basis problem of a tube shares, from its (q, m + 1, d)
-    waypoints, knots and settings.
+    waypoints and settings.
 
-    Returns ``(A, rhs, cost, corridor)``: the equality matrix, which
-    depends only on the knots and the polynomial settings, the (q, rows)
-    right-hand sides, one per pair, the cost, and the shared corridor
+    Returns ``(knots, chord_total, A, rhs, cost, corridor)``: the shared
+    knots, the normalized mean of the per-pair chord-length knots, and
+    their span before normalization; the equality matrix, which depends
+    only on the knots and the polynomial settings; the (q, rows)
+    right-hand sides, one per pair; the cost; and the shared corridor
     rows, or None when ``corridor_mode`` is "none".
 
     The corridor runs around the mean polyline.  Widths per segment grow
@@ -131,13 +135,16 @@ def tube_structure(waypoints: np.ndarray, knots: KnotVector,
     mean chord, so each basis problem stays feasible while all problems
     share identical inequality rows.
     """
+    shared_u = public_knots([chord_length_knots(p) for p in waypoints])
+    knots = normalize_knots(shared_u)
     A = assemble_equality(waypoints[0], knots, config.order,
-                          config.continuity).A
+                          config.continuity)
     rhs = np.array([equality_rhs(p, config.continuity) for p in waypoints])
     cost = assemble_cost(knots, config.cost_derivative, config.order,
                          waypoints.shape[2])
+    shared = (knots, shared_u.total, A, rhs, cost)
     if config.corridor_mode == "none":
-        return A, rhs, cost, None
+        return (*shared, None)
     mean = waypoints.mean(axis=0)
     m = mean.shape[0] - 1
     dim = mean.shape[1]
@@ -155,7 +162,7 @@ def tube_structure(waypoints: np.ndarray, knots: KnotVector,
             offset = max(offset, np.abs(deltas @ P.T).max())
         widths[seg] = config.corridor_width + offset
     spec = CorridorSpec(widths, config.corridor_samples)
-    return A, rhs, cost, corridor_constraints(mean, knots, spec, config.order)
+    return (*shared, corridor_constraints(mean, knots, spec, config.order))
 
 
 @dataclass
@@ -195,23 +202,26 @@ def _solve_reduced(reduced: ReducedEqualities,
 
 
 def tube_from_waypoints(pairs: OrderPairSet, waypoints,
-                        config: TrajectoryConfig) -> OptimalVirtualTube:
-    """Solve the q basis QPs of a tube whose equalized paths are given.
+                        config: TrajectoryConfig,
+                        basis_x=None) -> OptimalVirtualTube:
+    """The tube of the given equalized paths, its structure derived by
+    ``tube_structure``.
 
-    The shared knot vector is the normalized mean of the per-pair
-    chord-length knots.  One reduction of A serves every basis QP.
+    Its basis solutions are ``basis_x`` when given (a loaded tube, which
+    the caller checks), else those of the q basis QPs, which share one
+    reduction of A.
     """
     waypoints = np.asarray(waypoints, dtype=float)
-    shared_u = public_knots([chord_length_knots(p) for p in waypoints])
-    knots = normalize_knots(shared_u)
-    A, rhs, cost, corridor = tube_structure(waypoints, knots, config)
-    reduced = reduce_equalities(A, cost.H)
-    solutions = [_solve_reduced(reduced, corridor, b) for b in rhs]
+    knots, chord_total, A, rhs, cost, corridor = tube_structure(waypoints,
+                                                                config)
+    if basis_x is None:
+        reduced = reduce_equalities(A, cost.H)
+        basis_x = np.array([_solve_reduced(reduced, corridor, b).x
+                            for b in rhs])
     return OptimalVirtualTube(
-        pairs=pairs, config=config, knots=knots,
-        chord_total=shared_u.total, waypoints=waypoints, A=A,
-        basis_x=np.array([s.x for s in solutions]), basis_b=rhs, cost=cost,
-        corridor=corridor, solutions=solutions, qp_solves=len(solutions))
+        pairs=pairs, config=config, waypoints=waypoints, basis_x=basis_x,
+        knots=knots, chord_total=chord_total, A=A, basis_b=rhs, cost=cost,
+        corridor=corridor)
 
 
 def build_tube(pairs: OrderPairSet, obstacles: ObstacleSet,
@@ -357,6 +367,7 @@ class BenchmarkRow:
     ratio: float
 
 
+# no caller in the package: kept only as a benchmark trace target
 def combination_benchmark(tube: OptimalVirtualTube, counts=(10, 100, 1000),
                           seed: int = 0) -> list:
     """Wall-clock cost of combining members vs solving them directly.

@@ -74,12 +74,17 @@ def test_members_csv_matches_per_sample_evaluation(triangle_tube, tmp_path,
 
 
 def test_verify_passes_on_planned_tube(triangle_tube, capsys):
-    code = main(["verify", "--tube", str(triangle_tube), "--count", "3"])
-    captured = capsys.readouterr()
-    assert code == 0
+    outputs = []
+    for _ in range(2):
+        code = main(["verify", "--tube", str(triangle_tube), "--count", "3"])
+        outputs.append(capsys.readouterr())
+        assert code == 0
+    captured = outputs[0]
     assert "all members verified" in captured.out
-    assert "benchmark:" in captured.out
     assert "FAIL" not in captured.out
+    # no wall-clock line: a repeat run prints the same bytes
+    assert "benchmark:" not in captured.out
+    assert outputs[1] == captured
 
 
 def test_verify_flags_tampered_tube(triangle_tube, tmp_path, capsys):
@@ -100,18 +105,21 @@ def test_verify_flags_tampered_tube(triangle_tube, tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("basis_x", 0.05), ("basis_x", float("nan")), ("basis_b", float("inf")),
-    ("waypoints", 0.5), ("config.continuity", -1),
+    ("waypoints", 0.5), ("config.continuity", -1), ("config.continuity", 5),
     ("config.corridor_samples", 0), ("config.corridor_samples", -2),
     ("config.cost_derivative", 9), ("config.corridor_mode", "loose"),
     ("dimension", 3), ("dimension", "2"), ("dimension", 2.7),
-    ("schema_version", 1)])
+    ("chord_total", 6.0), ("knots", [0.0, 1.0]), ("bogus", 1),
+    ("config.bogus", 1), ("schema_version", 1), ("schema_version", 2)])
 def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
                                value):
-    # array fields get value added to their first number, others are set
+    # array fields get value added to their first number, others are set;
+    # a key the document does not hold is added
     doc = json.loads(triangle_tube.read_text(encoding="utf-8"))
     section, _, key = field.rpartition(".")
     owner = doc[section] if section else doc
-    if isinstance(owner[key], list):
+    added = key not in owner
+    if isinstance(owner.get(key), list):
         row = owner[key][0]
         while isinstance(row[0], list):
             row = row[0]
@@ -128,8 +136,13 @@ def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         if field == "schema_version":
-            # global-time (version 1) tubes are rejected, never converted
-            assert "schema_version 1 unsupported (expected 2)" in err
+            # global-time (version 1) tubes and version 2 tubes, which
+            # stored derived values, are rejected, never converted
+            assert f"schema_version {value} unsupported (expected 3)" in err
+        elif added:
+            # a stale derived value such as chord_total cannot disagree
+            # with the waypoints: it is not read at all
+            assert f"{field}: unknown key" in err
 
 
 @pytest.mark.parametrize("command, flag, value", [

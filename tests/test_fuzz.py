@@ -72,21 +72,21 @@ SCENARIO_INTEGERS = [
     ("planner", "polynomial", "continuity"),
     ("planner", "corridor", "samples_per_segment"), ("controller", "horizon")]
 
+# chord_total and config.knots are keys a tube document does not hold:
+# setting them adds a stale or misplaced key
 TUBE_FIELDS = [
-    ("schema_version",), ("kind",), ("dimension",), ("config",),
+    ("schema_version",), ("kind",), ("config",),
     ("config", "order"), ("config", "cost_derivative"),
     ("config", "continuity"), ("config", "segments"),
     ("config", "corridor_width"), ("config", "corridor_samples"),
-    ("config", "corridor_mode"), ("knots",), ("knots", 1), ("chord_total",),
+    ("config", "corridor_mode"), ("config", "knots"), ("chord_total",),
     ("start_vertices",), ("start_vertices", 0, 1), ("goal_vertices", 1),
     ("pairing",), ("pairing", 0), ("waypoints",), ("waypoints", 0, 1),
-    ("waypoints", 1, 2, 0), ("basis_x",), ("basis_x", 0, 3), ("basis_b", 1),
-    ("qp_solves",)]
+    ("waypoints", 1, 2, 0), ("basis_x",), ("basis_x", 0, 3), ("basis_b", 1)]
 TUBE_INTEGERS = [
-    ("schema_version",), ("dimension",), ("config", "order"),
+    ("schema_version",), ("config", "order"),
     ("config", "cost_derivative"), ("config", "continuity"),
-    ("config", "segments"), ("config", "corridor_samples"), ("pairing", 0),
-    ("qp_solves",)]
+    ("config", "segments"), ("config", "corridor_samples"), ("pairing", 0)]
 
 # the edges of integer ranges: the signs, the neighbours of the polynomial
 # order (continuity and cost derivative may not pass it) and numbers that

@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from tubeplan.cli import plan_tube
 from tubeplan.geometry import OrderPairSet, Terminal
 from tubeplan.mpcsim import Metrics, SimLog
 from tubeplan.scenario_io import (IoError, ParseError, SCENARIO_KEYS,
-                                  SCHEMA_VERSION, TUBE_SCHEMA_VERSION,
+                                  SCHEMA_VERSION, TUBE_KEYS,
+                                  TUBE_SCHEMA_VERSION,
                                   ValidationError, VersionError,
                                   load_scenario, load_tube, save_log,
                                   save_metrics, save_tube)
@@ -131,13 +133,13 @@ def test_robot_placement_is_validated(tmp_path):
 
 
 def test_version_dimension_parse_and_io_errors(tmp_path):
-    # scenarios stay at version 1 while tube documents moved to version 2
+    # scenarios stay at version 1 while tube documents moved to version 3
     doc = minimal_doc()
     assert doc["schema_version"] == SCHEMA_VERSION == 1
     assert load_scenario(write_doc(tmp_path, doc)).dim == 2
     doc["schema_version"] = TUBE_SCHEMA_VERSION
     with pytest.raises(VersionError,
-                       match=r"schema_version 2 unsupported \(expected 1\)"):
+                       match=r"schema_version 3 unsupported \(expected 1\)"):
         load_scenario(write_doc(tmp_path, doc))
     doc = minimal_doc()
     doc["dimension"] = 4
@@ -202,6 +204,16 @@ def test_unknown_keys_are_rejected(tmp_path, path):
     else:
         set_key(doc, path, 1)
     expect_invalid(tmp_path, doc, rf"^{re.escape(path)}: unknown key$")
+
+
+def test_dotted_keys_are_rejected(tmp_path):
+    # a key that holds a dot would otherwise pass for the nested key
+    doc = minimal_doc()
+    doc["planner.segments"] = 3
+    expect_invalid(tmp_path, doc, r"^planner\.segments: unknown key$")
+    doc = minimal_doc()
+    doc["planner"] = {"rrt.step_size": 1.0}
+    expect_invalid(tmp_path, doc, r"^planner\.rrt\.step_size: unknown key$")
 
 
 @pytest.mark.parametrize("path", ["controller", "planner.rrt",
@@ -306,7 +318,6 @@ def test_tube_round_trip_is_bit_faithful(tmp_path):
     assert np.array_equal(loaded.pairs.pairing, tube.pairs.pairing)
     assert loaded.chord_total == tube.chord_total
     assert loaded.config == tube.config
-    assert loaded.qp_solves == tube.qp_solves
     # derived matrices are rebuilt deterministically from the document
     assert np.array_equal(loaded.A, tube.A)
     assert np.array_equal(loaded.cost.H, tube.cost.H)
@@ -315,6 +326,29 @@ def test_tube_round_trip_is_bit_faithful(tmp_path):
     second = tmp_path / "again.json"
     save_tube(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["corridor_2d", "triangle_2d", "tetra_3d"])
+def test_shipped_tubes_reload_bit_for_bit(tmp_path, name):
+    planned = plan_tube(load_scenario(f"scenarios/{name}.json"))
+    path = tmp_path / "tube.json"
+    save_tube(planned, path)
+    # the document holds what fixes the tube, and basis_b to check it by
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert set(doc) | {f"config.{key}" for key in doc["config"]} == TUBE_KEYS
+    loaded = load_tube(path)
+    # every derived field is rebuilt bit for bit as planning built it
+    assert np.array_equal(loaded.knots.u, planned.knots.u)
+    assert loaded.chord_total == planned.chord_total
+    for field in ("waypoints", "basis_x", "basis_b", "A"):
+        assert np.array_equal(getattr(loaded, field), getattr(planned, field))
+    assert np.array_equal(loaded.cost.H, planned.cost.H)
+    assert np.array_equal(loaded.corridor.G, planned.corridor.G)
+    assert np.array_equal(loaded.corridor.h, planned.corridor.h)
+    # saving the reloaded tube rewrites the file byte for byte
+    again = tmp_path / "again.json"
+    save_tube(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_strict_tube_reloads_its_corridor(tmp_path):
@@ -347,12 +381,28 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
     with pytest.raises(VersionError):
         load_tube(tamper(tmp_path, wrong_version))
 
-    def global_time_version(doc):
-        assert doc["schema_version"] == TUBE_SCHEMA_VERSION == 2
-        doc["schema_version"] = 1
-    with pytest.raises(VersionError,
-                       match=r"schema_version 1 unsupported \(expected 2\)"):
-        load_tube(tamper(tmp_path, global_time_version))
+    # version 1 (global-time coefficients) and version 2 (derived values
+    # stored) are rejected, never converted
+    for version in (1, 2):
+        def old_version(doc):
+            assert doc["schema_version"] == TUBE_SCHEMA_VERSION == 3
+            doc["schema_version"] = version
+        with pytest.raises(VersionError, match=(
+                rf"schema_version {version} unsupported \(expected 3\)")):
+            load_tube(tamper(tmp_path, old_version))
+
+    # derived values and typos are unknown keys, at the top and in config
+    for section, key, value in [
+            ("", "chord_total", 6.0), ("", "knots", [0.0, 1.0]),
+            ("", "dimension", 2), ("", "qp_solves", 2), ("", "bogus", 1),
+            ("", "config.order", 5), ("config", "bogus", 1),
+            ("config", "order.x", 5)]:
+        def add_key(doc):
+            (doc[section] if section else doc)[key] = value
+        path = f"{section}.{key}" if section else key
+        with pytest.raises(ValidationError,
+                           match=rf"^{re.escape(path)}: unknown key$"):
+            load_tube(tamper(tmp_path, add_key))
 
     def drop_key(doc):
         del doc["basis_x"]
@@ -374,14 +424,15 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
     with pytest.raises(ValidationError, match=r"basis_x\[1\]\[3\]: .*finite"):
         load_tube(tamper(tmp_path, poison_basis))
 
-    def infinite_knot(doc):
-        doc["knots"][1] = float("-inf")
-    with pytest.raises(ValidationError, match=r"knots\[1\]: .*finite"):
-        load_tube(tamper(tmp_path, infinite_knot))
+    def infinite_waypoint(doc):
+        doc["waypoints"][0][1][0] = float("-inf")
+    with pytest.raises(ValidationError,
+                       match=r"waypoints\[0\]\[1\]\[0\]: .*finite"):
+        load_tube(tamper(tmp_path, infinite_waypoint))
 
     def nudge_rhs(doc):
         doc["basis_b"][1][0] += 1e-6
-    with pytest.raises(ValidationError, match="basis_b by 1.000e-06"):
+    with pytest.raises(ValidationError, match="basis_b differs .* 1.000e-06"):
         load_tube(tamper(tmp_path, nudge_rhs))
 
     # trajectory settings go through the same checks as a scenario's
@@ -392,7 +443,7 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
             ("corridor_samples", -2, "corridor_samples must be at least 1"),
             ("cost_derivative", 9, r"cost_derivative must be in \[1, order\]"),
             ("order", 5.0, "config.order: expected an integer"),
-            ("segments", 9, "config.segments is 9, but the knots span 6")]:
+            ("segments", 9, "config.segments is 9, but the waypoints span 6")]:
         def set_config(doc):
             doc["config"][key] = value
         with pytest.raises(ValidationError, match=match):
@@ -403,13 +454,13 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
     with pytest.raises(ValidationError, match=r"pairing\[0\]: expected an"):
         load_tube(tamper(tmp_path, fractional_pairing))
 
-    for value, match in [(3, "dimension 3 must be 2 or 3 and match the 2-D"),
-                         ("2", "dimension: expected an integer"),
-                         (2.7, "dimension: expected an integer")]:
-        def set_dimension(doc):
-            doc["dimension"] = value
-        with pytest.raises(ValidationError, match=match):
-            load_tube(tamper(tmp_path, set_dimension))
+    # the dimension is the vertices': the waypoints must share it
+    def lift_vertices(doc):
+        for key in ("start_vertices", "goal_vertices"):
+            doc[key] = [v + [0.0] for v in doc[key]]
+    with pytest.raises(ValidationError, match=(
+            "the vertices are 3-D and the waypoints 2-D; both must be")):
+        load_tube(tamper(tmp_path, lift_vertices))
 
     # A x = basis_b still holds, but basis_b no longer matches the waypoints
     def move_waypoint(doc):
@@ -427,8 +478,7 @@ def hand_log():
     states[:, :, 2:] = 0.5
     inputs = np.arange(8, dtype=float).reshape(2, 2, 2)
     return SimLog(times=times, states=states, inputs=inputs,
-                  goals=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                  arrival_times=np.array([0.1, 0.2]), timestep=0.1,
+                  goals=np.array([[1.0, 0.0], [0.0, 1.0]]), timestep=0.1,
                   max_slack=np.full((2, 2), 0.25))
 
 

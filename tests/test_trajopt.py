@@ -5,8 +5,9 @@ from tubeplan.knots import KnotVector
 from tubeplan.trajopt import (_kkt_solve, AffineInequalities, CorridorSpec,
                               Infeasible, OutOfDomain, PiecewisePolynomial,
                               RankDeficient, assemble_cost, assemble_equality,
-                              basis_row, corridor_constraints, evaluate,
-                              evaluate_grid, reduce_equalities, solve_qp)
+                              basis_row, corridor_constraints, equality_rhs,
+                              evaluate, evaluate_grid, reduce_equalities,
+                              solve_qp)
 from tubeplan.tube import _solve_reduced
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
@@ -59,25 +60,26 @@ def test_cost_kills_constant_offsets():
 
 
 def test_equality_line_fit_oracle():
-    system = assemble_equality(np.array([[0.0], [1.0]]), UNIT, 1, 0)
-    assert np.allclose(system.A, [[1.0, 0.0], [1.0, 1.0]])
-    assert np.allclose(system.b, [0.0, 1.0])
-    x = np.linalg.solve(system.A, system.b)
+    pts = np.array([[0.0], [1.0]])
+    A, b = assemble_equality(pts, UNIT, 1, 0), equality_rhs(pts, 0)
+    assert np.allclose(A, [[1.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(b, [0.0, 1.0])
+    x = np.linalg.solve(A, b)
     assert np.allclose(x, [0.0, 1.0])
 
 
 def test_equality_block_layout():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0], [1.0], [0.5]])
-    system = assemble_equality(pts, kv, 5, 2)
-    # (m-1)(p+1) + (m+1) + 2p rows for d = 1
-    assert system.A.shape == (10, 12)
-    assert system.blocks == {"continuity": (0, 3), "waypoints": (3, 6),
-                             "terminal": (6, 10)}
-    lo, hi = system.blocks["waypoints"]
-    assert np.allclose(system.b[lo:hi], [0.0, 1.0, 0.5])
-    assert np.allclose(system.b[:lo], 0.0)
-    assert np.allclose(system.b[hi:], 0.0)
+    A, b = assemble_equality(pts, kv, 5, 2), equality_rhs(pts, 2)
+    # (m-1)(p+1) + (m+1) + 2p rows for d = 1: continuity rows 0-2,
+    # waypoint rows 3-5 and terminal rows 6-9
+    assert A.shape == (10, 12) and b.shape == (10,)
+    assert np.allclose(b[3:6], [0.0, 1.0, 0.5])
+    assert np.allclose(b[:3], 0.0)
+    assert np.allclose(b[6:], 0.0)
+    # a waypoint row reads one segment's position, at its start or end
+    assert np.allclose(A[3:6, [0, 6]], [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 
 
 def test_equality_rejects_dependent_rows():
@@ -226,18 +228,18 @@ def test_qp_matches_one_dof_oracle():
     # two segments, cubic, one remaining degree of freedom after equalities
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0], [1.0], [0.0]])
-    system = assemble_equality(pts, kv, 3, 1)
-    assert system.A.shape == (7, 8)
+    A, b = assemble_equality(pts, kv, 3, 1), equality_rhs(pts, 1)
+    assert A.shape == (7, 8)
     cost = assemble_cost(kv, 2, 3, 1)
-    sol = _solve(cost.H, system.A, system.b)
+    sol = _solve(cost.H, A, b)
 
     # independent oracle: along the one-dimensional feasible line the
     # objective is an exact quadratic, so a parabola through three samples
     # recovers the true minimum without touching the KKT machinery
-    x_p, *_ = np.linalg.lstsq(system.A, system.b, rcond=None)
-    _, _, vh = np.linalg.svd(system.A)
+    x_p, *_ = np.linalg.lstsq(A, b, rcond=None)
+    _, _, vh = np.linalg.svd(A)
     direction = vh[-1]
-    assert np.abs(system.A @ direction).max() < 1e-9
+    assert np.abs(A @ direction).max() < 1e-9
 
     def f(t):
         v = x_p + t * direction
@@ -322,11 +324,10 @@ def test_qp_dependent_row_takes_the_place_of_the_smallest_ratio():
 def test_qp_deterministic():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    system = assemble_equality(pts, kv, 5, 2)
+    A, b = assemble_equality(pts, kv, 5, 2), equality_rhs(pts, 2)
     cost = assemble_cost(kv, 3, 5, 2)
-    a = _solve(cost.H, system.A, system.b)
-    b = _solve(cost.H, system.A, system.b)
-    assert np.array_equal(a.x, b.x)
+    first, second = (_solve(cost.H, A, b) for _ in range(2))
+    assert np.array_equal(first.x, second.x)
 
 
 def test_corridor_rows_on_and_off_the_polyline():
@@ -354,9 +355,9 @@ def test_continuity_across_interior_knots():
     kv = KnotVector(np.array([0.0, 0.3, 0.7, 0.9, 1.0]), normalized=True)
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [3.5, 0.5],
                     [4.0, 0.0]])
-    system = assemble_equality(pts, kv, 5, 3)
+    A, b = assemble_equality(pts, kv, 5, 3), equality_rhs(pts, 3)
     cost = assemble_cost(kv, 3, 5, 2)
-    sol = _solve(cost.H, system.A, system.b)
+    sol = _solve(cost.H, A, b)
     traj = PiecewisePolynomial(2, 5, kv, sol.x)
     # at the shared knot, tau = 1 of one segment meets tau = 0 of the next
     spans = np.diff(kv.u)
@@ -372,9 +373,9 @@ def test_continuity_across_interior_knots():
 def test_second_derivative_matches_finite_differences():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    system = assemble_equality(pts, kv, 5, 2)
+    A, b = assemble_equality(pts, kv, 5, 2), equality_rhs(pts, 2)
     cost = assemble_cost(kv, 3, 5, 2)
-    traj = PiecewisePolynomial(2, 5, kv, _solve(cost.H, system.A, system.b).x)
+    traj = PiecewisePolynomial(2, 5, kv, _solve(cost.H, A, b).x)
     rng = np.random.default_rng(7)
     # h = 1e-4 balances cancellation noise against truncation; samples stay
     # clear of the interior knot so the stencil never straddles segments
@@ -394,9 +395,9 @@ def test_objective_invariant_under_translation():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     H = assemble_cost(kv, 3, 5, 2).H
-    base = assemble_equality(pts, kv, 5, 2)
-    moved = assemble_equality(pts + [10.0, -4.0], kv, 5, 2)
-    base, moved = (_solve(H, s.A, s.b) for s in (base, moved))
+    A = assemble_equality(pts, kv, 5, 2)
+    base, moved = (_solve(H, A, equality_rhs(p, 2))
+                   for p in (pts, pts + [10.0, -4.0]))
     assert moved.objective == pytest.approx(base.objective, abs=1e-6)
     # only the constant coefficients change
     diff = (moved.x - base.x).reshape(2, 6, 2)

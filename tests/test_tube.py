@@ -31,15 +31,21 @@ def triangle_tube():
     return build_tube(pairs, ObstacleSet(), rrt, TrajectoryConfig())
 
 
+def basis_solution(tube, k):
+    """The k-th basis QP solved again: a vertex member's direct solve."""
+    return direct_member_solve(tube, np.eye(tube.count)[k])
+
+
 def test_build_solves_one_qp_per_vertex(triangle_tube):
     tube = triangle_tube
-    assert tube.qp_solves == 3
     assert tube.count == 3
-    assert len(tube.solutions) == 3
     assert tube.basis_x.shape == (3, (5 + 1) * 7 * 2)
     assert tube.basis_b.shape[0] == 3
     assert tube.knots.u[0] == 0.0 and tube.knots.u[-1] == 1.0
-    for sol in tube.solutions:
+    for k in range(3):
+        sol = basis_solution(tube, k)
+        # the vertex member's problem is the basis QP itself
+        assert np.array_equal(sol.x, tube.basis_x[k])
         assert sol.eq_residual <= 1e-8
         assert sol.ineq_violation <= 1e-8
 
@@ -70,16 +76,21 @@ def test_one_reduction_per_tube_and_per_direct_solve(triangle_tube,
                                                       monkeypatch):
     # the basis QPs of a tube share one reduction of the equality rows;
     # a direct solve is a reference from scratch, so it reduces every time
-    reductions = []
-    reduce = tube_module.reduce_equalities
+    reductions, solves = [], []
+    reduce, solve = tube_module.reduce_equalities, tube_module._solve_reduced
 
     def counted(A, H):
         reductions.append(A.shape)
         return reduce(A, H)
 
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
     monkeypatch.setattr(tube_module, "reduce_equalities", counted)
+    monkeypatch.setattr(tube_module, "_solve_reduced", counted_solve)
     tube = hand_tube(_kink_paths(0.4), TrajectoryConfig(segments=6))
-    assert tube.qp_solves == 2 and len(reductions) == 1
+    assert len(solves) == tube.count == 2 and len(reductions) == 1
     for theta in ([0.5, 0.5], [0.5, 0.5], [0.25, 0.75]):
         direct_member_solve(tube, theta)
     assert len(reductions) == 4
@@ -214,8 +225,8 @@ def test_shared_active_rows_still_transfer():
     # so members remain exactly optimal with those rows active
     cfg = TrajectoryConfig(segments=6, corridor_width=0.15)
     tube = hand_tube(_kink_paths(0.02), cfg)
-    a0 = set(tube.solutions[0].active_set.tolist())
-    a1 = set(tube.solutions[1].active_set.tolist())
+    a0, a1 = (set(basis_solution(tube, k).active_set.tolist())
+              for k in range(2))
     assert a0 and a0 == a1
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -233,8 +244,8 @@ def test_differing_active_rows_detected():
     paths = equalize_waypoints([zig, zig + np.array([0.0, 1.0])], 5)
     cfg = TrajectoryConfig(segments=5, corridor_width=0.3)
     tube = hand_tube(paths, cfg)
-    a0 = set(tube.solutions[0].active_set.tolist())
-    a1 = set(tube.solutions[1].active_set.tolist())
+    a0, a1 = (set(basis_solution(tube, k).active_set.tolist())
+              for k in range(2))
     assert a0 != a1
     report = verify_member_optimality(tube, [0.5, 0.5], directions=50, seed=1)
     assert not report.passed
