@@ -1,10 +1,12 @@
-"""Convex terminal sets, barycentric weights, and start/goal vertex assignment.
+"""Convex terminal sets, barycentric weights, hull distances, and start/goal
+vertex assignment.
 
 A terminal is the convex hull of a small list of vertices.  Weights are
 barycentric coordinates over those vertices; the weight solver returns the
 minimum-Euclidean-norm feasible weights when the representation is not
-unique.  Assignment pairs start vertices with goal vertices so that member
-trajectories spread evenly instead of crossing.
+unique.  The distance between two vertex hulls is the minimum-norm point
+of their difference hull.  Assignment pairs start vertices with goal
+vertices so that member trajectories spread evenly instead of crossing.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,8 @@ import numpy as np
 
 # Reconstruction tolerance for hull membership, in metres.
 HULL_TOL = 1e-9
+# hull_distance stops within this times the largest vertex difference
+DIST_REL_TOL = 1e-12
 # Exhaustive assignment is factorial in the vertex count; hard cap.
 MAX_ASSIGN_VERTICES = 12
 
@@ -129,6 +133,55 @@ class Terminal:
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
+
+
+def hull_distance(U, W) -> float:
+    """Euclidean distance between conv(U) and conv(W), (qu, d) and (qw, d).
+
+    The distance is the norm of the minimum-norm point of the difference
+    hull conv{u_i - w_j}, found by Wolfe's algorithm (Math. Programming
+    11, 1976): a corral of affinely independent differences whose affine
+    minimiser lies inside their hull.  Only differences enter, so the
+    result and the stopping test do not move when both sets are
+    translated.  The result is within DIST_REL_TOL * R of the true
+    distance, R the largest difference norm.
+    """
+    P = np.asarray(U, dtype=float)[:, None] - np.asarray(W, dtype=float)
+    P = P.reshape(-1, P.shape[-1])
+    sq = (P * P).sum(axis=1)
+    tol = DIST_REL_TOL * np.sqrt(sq.max())
+    S = [int(np.argmin(sq))]
+    lam = np.ones(1)
+    x = P[S[0]]
+    # finite in exact arithmetic; the cap stops a cycle rounding could start
+    for _ in range(10 * len(P)):
+        norm = np.linalg.norm(x)
+        j = int(np.argmin(P @ x))
+        # |x| is within tol of the distance, by
+        # |x| - dist <= (|x|^2 - min_j x.p_j) / |x|
+        if norm <= tol or x @ x - P[j] @ x <= tol * norm or j in S:
+            break
+        S.append(j)
+        lam = np.append(lam, 0.0)
+        while True:     # move to the affine minimiser of the corral
+            Y = P[S]
+            c, *_ = np.linalg.lstsq((Y[1:] - Y[0]).T, -Y[0], rcond=None)
+            alpha = np.concatenate([[1.0 - c.sum()], c])
+            if alpha.min() > 0.0:
+                lam = alpha
+                break
+            # step towards it until a weight reaches zero; drop that point
+            # (a new point with alpha = 0 has lam = alpha = 0: ratio 0)
+            neg = np.flatnonzero(alpha <= 0.0)
+            ratios = lam[neg] / np.maximum(lam[neg] - alpha[neg],
+                                           np.finfo(float).tiny)
+            lam = lam + ratios.min() * (alpha - lam)
+            lam[neg[np.argmin(ratios)]] = 0.0
+            keep = lam > 0.0
+            S = [s for s, k in zip(S, keep) if k]
+            lam = lam[keep]
+        x = lam @ P[S]
+    return float(np.linalg.norm(x))
 
 
 def barycentric_weights(point, terminal: Terminal) -> np.ndarray:

@@ -39,12 +39,15 @@ Every robot shares one time scaling, so step k of tick t samples the tube
 at the same parameter for all of them.  ``simulate`` evaluates the basis
 once on those parameters (``ReferenceGrid``); every reference window of
 the run is a slice of that grid.
+
+``hull_inequalities`` (the facet rows of a cross-section hull) is not on
+the tick's path; it imports ``scipy.spatial`` when called, so the module
+loads only NumPy and ``scipy.linalg``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import PointOutsideHull, barycentric_weights
 from .knots import KnotVector
@@ -276,6 +279,10 @@ def hull_inequalities(points: np.ndarray):
     cross-sections have no usable interior).  Rows are normalized so the
     facet margin b - A p is a Euclidean distance.
     """
+    # imported here, not with the module: no command calls this function,
+    # and scipy.spatial (with the scipy.sparse it loads) would be a third
+    # of the CLI's start-up
+    from scipy.spatial import ConvexHull, QhullError
     pts = np.asarray(points, dtype=float)
     d = pts.shape[1]
     centered = pts - pts.mean(axis=0)

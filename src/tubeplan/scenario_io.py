@@ -4,9 +4,12 @@ Scenarios are strict JSON: numbers must be JSON numbers (never strings or
 booleans), and unknown schema versions and keys are rejected.  One key
 table per settings class maps a scenario key to its field and parser; an
 absent key keeps the field's default, and each check lives in its class.
-README's "Scenario documents" lists every key.  Tubes round-trip through
-JSON exactly: floats are written with repr precision (17 significant
-digits), which is bit-faithful for IEEE doubles.  A tube document holds
+README's "Scenario documents" lists every key.  The start and goal
+terminals are disjoint when their hulls lie more than
+``geometry.HULL_TOL`` apart (``geometry.hull_distance``); no LP solver is
+loaded for that test.  Tubes round-trip through JSON exactly: floats are
+written with repr precision (17 significant digits), which is
+bit-faithful for IEEE doubles.  A tube document holds
 only what fixes the tube (settings, vertex pairs, waypoints, basis) and
 the basis right-hand sides as a check value; ``tube.tube_from_waypoints``
 rebuilds everything else as planning does.
@@ -18,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .geometry import (PointOutsideHull, Terminal, barycentric_weights,
-                       equispaced_weights, OrderPairSet)
+from .geometry import (HULL_TOL, PointOutsideHull, Terminal,
+                       barycentric_weights, equispaced_weights, hull_distance,
+                       OrderPairSet)
 from .mpcsim import AvoidanceModel, Metrics, MpcConfig, SimLog
 from .pathfinder import ObstacleSet, RrtConfig
 from .trajopt import RankDeficient
@@ -242,22 +245,6 @@ class Scenario:
     goal_radius: float
 
 
-def _hulls_intersect(U: np.ndarray, W: np.ndarray) -> bool:
-    """Feasibility LP: is any point a convex combination of both vertex
-    sets?"""
-    qu, d = U.shape
-    qw = W.shape[0]
-    A_eq = np.zeros((d + 2, qu + qw))
-    A_eq[:d, :qu] = U.T
-    A_eq[:d, qu:] = -W.T
-    A_eq[d, :qu] = 1.0
-    A_eq[d + 1, qu:] = 1.0
-    b_eq = np.concatenate([np.zeros(d), [1.0, 1.0]])
-    res = linprog(np.zeros(qu + qw), A_eq=A_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    return res.status == 0
-
-
 def load_scenario(path) -> Scenario:
     """Parse, validate, and materialize a scenario file."""
     doc = _read_document(path, SCHEMA_VERSION)
@@ -305,7 +292,8 @@ def load_scenario(path) -> Scenario:
         raise ValidationError(f"terminal: {err}") from err
     if start_terminal.count != goal_terminal.count:
         raise ValidationError("terminals must have equal vertex counts")
-    if _hulls_intersect(start_terminal.vertices, goal_terminal.vertices):
+    if hull_distance(start_terminal.vertices,
+                     goal_terminal.vertices) <= HULL_TOL:
         raise ValidationError("start and goal terminals are not disjoint")
 
     robots_doc = doc.get("robots", [])

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tubeplan
 from tubeplan.cli import main
 from tubeplan.scenario_io import load_tube
 from tubeplan.trajopt import evaluate
@@ -271,3 +275,36 @@ def test_tiny_ellipse_axes_simulate_without_overflow(triangle_tube, tmp_path,
     assert "nan" not in text and "inf" not in text
     assert json.loads(metrics.read_text(encoding="utf-8"))[
         "arrival_rate"] == 1.0
+
+
+# imports tubeplan.cli, runs every command on the triangle scenario and
+# prints the heavy SciPy modules that are loaded after all of them
+_IMPORT_PROBE = """
+import os, sys
+from tubeplan.cli import main
+scenario, out = sys.argv[1:]
+tube = os.path.join(out, "tube.json")
+for argv in (["plan", "--scenario", scenario, "--out", tube],
+             ["simulate", "--scenario", scenario, "--tube", tube,
+              "--out", os.path.join(out, "log.csv"),
+              "--metrics", os.path.join(out, "metrics.json")],
+             ["members", "--tube", tube, "--count", "3",
+              "--out", os.path.join(out, "members.csv")],
+             ["verify", "--tube", tube, "--count", "1"]):
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[:2] in
+             (["scipy", "optimize"], ["scipy", "spatial"],
+              ["scipy", "sparse"])))
+"""
+
+
+def test_commands_leave_scipy_optimize_spatial_sparse_unloaded(tmp_path):
+    # a fresh interpreter: this test process has imported SciPy at large
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(tubeplan.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, os.path.abspath(TRIANGLE),
+         str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

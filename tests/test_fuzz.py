@@ -187,6 +187,30 @@ def test_mutated_scenarios_exit_cleanly(workdir, edits):
          "--out", str(workdir / "mutated_plan.json")])
 
 
+# a goal terminal moved onto the start segment (x = 0, y in [0, 2]), or
+# turned so that its first vertex lies on it: the hulls touch or overlap
+touching_goals = st.one_of(
+    st.floats(-2.0, 2.0).map(lambda s: [[0.0, s], [0.0, s + 2.0]]),
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.1, 8.0),
+              st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 8.0)).map(
+        lambda a: [[0.0, a[0]], [a[2] * a[1], a[3]]]))
+
+
+@FUZZ
+@given(goal=touching_goals)
+def test_touching_goal_terminals_exit_2(workdir, goal):
+    doc = copy.deepcopy(SCENARIO)
+    doc["goal_terminal"] = goal
+    scenario = workdir / "touching_scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["plan", "--scenario", str(scenario),
+                     "--out", str(workdir / "touching_plan.json")])
+    assert (code, err.getvalue()) == (
+        2, "error: start and goal terminals are not disjoint\n"), goal
+
+
 def check_tube(workdir, doc):
     tube = workdir / "mutated_tube.json"
     tube.write_text(json.dumps(doc), encoding="utf-8")

@@ -6,7 +6,7 @@ from tubeplan.geometry import (DegenerateTerminal, OrderPairSet,
                                PointOutsideHull, SizeMismatch, Terminal,
                                TooManyVertices, assign_vertices,
                                barycentric_weights, equispaced_weights,
-                               _min_norm_weights)
+                               hull_distance, _min_norm_weights)
 
 TRI = Terminal(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
@@ -191,3 +191,57 @@ def test_equispaced_weights_exact_lattice():
 def test_equispaced_weights_validation():
     with pytest.raises(ValueError):
         equispaced_weights(0, 3)
+
+
+def _lp_hulls_intersect(U, W):
+    """Oracle: is some point a convex combination of both vertex sets?"""
+    from scipy.optimize import linprog
+    qu, d = U.shape
+    qw = W.shape[0]
+    A_eq = np.zeros((d + 2, qu + qw))
+    A_eq[:d, :qu] = U.T
+    A_eq[:d, qu:] = -W.T
+    A_eq[d, :qu] = 1.0
+    A_eq[d + 1, qu:] = 1.0
+    b_eq = np.concatenate([np.zeros(d), [1.0, 1.0]])
+    return linprog(np.zeros(qu + qw), A_eq=A_eq, b_eq=b_eq,
+                   bounds=(0, None), method="highs").status == 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hull_distance_agrees_with_the_lp_oracle(d):
+    rng = np.random.default_rng(20 + d)
+    for trial in range(300):
+        U = rng.normal(size=(rng.integers(1, 6), d))
+        W = rng.normal(size=(rng.integers(1, 6), d))
+        W += rng.normal(size=d) * rng.uniform(0.0, 3.0)
+        if trial % 3 == 0:      # a vertex of W inside conv(U)
+            W[0] = rng.dirichlet(np.ones(len(U))) @ U
+        dist = hull_distance(U, W)
+        assert (dist <= 1e-9) == _lp_hulls_intersect(U, W), (trial, dist)
+        if trial % 3 == 0:
+            assert dist <= 1e-12
+
+
+def test_hull_distance_exact_cases():
+    U = np.array([[0.0, 0.0], [0.0, 1.0]])
+    W = np.array([[1.0, 0.0], [1.0, 1.0]])
+    # parallel unit segments 1 m apart, also far from the origin
+    assert hull_distance(U, W) == 1.0
+    assert hull_distance(U + 1e5, W + 1e5) == 1.0
+    tri = TRI.vertices
+    assert hull_distance(tri, [[0.2, 0.3]]) <= 1e-15
+    assert hull_distance([[0.2, 0.3]], tri) <= 1e-15
+    # 1e-8 m outside the edge from (1, 0) to (0, 1)
+    n = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    outside = np.array([0.3, 0.7]) + 1e-8 * n
+    assert abs(hull_distance(tri, [outside]) - 1e-8) <= 1e-12
+    assert abs(hull_distance(tri, [[0.5, -1e-8]]) - 1e-8) <= 1e-12
+    # two tetrahedra on either side of a shared face
+    face = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    above = np.vstack([face, [[0.2, 0.2, 1.0]]])
+    below = np.vstack([face, [[0.3, 0.1, -1.0]]])
+    assert hull_distance(above, below) == 0.0
+    # single vertices: the distance between the points
+    assert hull_distance([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
+    assert hull_distance([[1.0, 2.0, 2.0]], [[1.0, 2.0, 2.0]]) == 0.0

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from tubeplan.cli import plan_tube
+from tubeplan.cli import main, plan_tube
 from tubeplan.geometry import OrderPairSet, Terminal
 from tubeplan.mpcsim import Metrics, SimLog
 from tubeplan.scenario_io import (IoError, ParseError, SCENARIO_KEYS,
@@ -118,6 +118,30 @@ def test_terminals_required_equal_and_disjoint(tmp_path):
     doc = minimal_doc()
     doc["goal_terminal"] = [[-1.0, 0.5], [1.0, 0.5]]
     expect_invalid(tmp_path, doc, "not disjoint")
+
+
+@pytest.mark.parametrize("goal", [
+    [[0.0, 1.0], [5.0, 1.0]],       # shares the start's vertex (0, 1)
+    [[0.0, 0.5], [5.0, 0.5]],       # a vertex on the start segment
+    [[0.0, 1.0], [0.0, 3.0]]])      # collinear, touching end to end
+def test_touching_terminals_exit_2(tmp_path, capsys, goal):
+    doc = minimal_doc()
+    doc["goal_terminal"] = goal
+    code = main(["plan", "--scenario", str(write_doc(tmp_path, doc)),
+                 "--out", str(tmp_path / "tube.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: start and goal terminals are not disjoint\n")
+
+
+def test_terminals_a_micrometre_apart_load_and_plan(tmp_path, capsys):
+    doc = minimal_doc()
+    doc["goal_terminal"] = [[1e-6, 0.0], [1e-6, 1.0]]
+    path = write_doc(tmp_path, doc)
+    assert load_scenario(path).goal_terminal.vertices[0, 0] == 1e-6
+    assert main(["plan", "--scenario", str(path),
+                 "--out", str(tmp_path / "tube.json")]) == 0
+    assert "2 basis members" in capsys.readouterr().out
 
 
 def test_robot_placement_is_validated(tmp_path):
