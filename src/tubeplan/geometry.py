@@ -1,12 +1,15 @@
 """Convex terminal sets, barycentric weights, hull distances, and start/goal
 vertex assignment.
 
-A terminal is the convex hull of a small list of vertices.  Weights are
-barycentric coordinates over those vertices; the weight solver returns the
-minimum-Euclidean-norm feasible weights when the representation is not
-unique.  The distance between two vertex hulls is the minimum-norm point
-of their difference hull.  Assignment pairs start vertices with goal
-vertices so that member trajectories spread evenly instead of crossing.
+A terminal is the convex hull of a small list of vertices.  One routine,
+Wolfe's minimum-norm point of a vertex hull, answers every hull question:
+the distance between two hulls is the minimum-norm point of their
+difference hull, a point's barycentric weights are the corral weights of
+the minimum-norm point of the vertices less the point, and a vertex is
+extreme when it lies farther than HULL_TOL from the hull of the others.
+Only differences enter, so no answer moves when the points are
+translated.  Assignment pairs start vertices with goal vertices so that
+member trajectories spread evenly instead of crossing.
 """
 
 from dataclasses import dataclass
@@ -14,12 +17,13 @@ from itertools import permutations
 
 import numpy as np
 
-# Reconstruction tolerance for hull membership, in metres.
+# A point this close to a hull counts as inside it, in metres.
 HULL_TOL = 1e-9
-# hull_distance stops within this times the largest vertex difference
+# Wolfe's iteration stops within this times the largest point norm
 DIST_REL_TOL = 1e-12
-# Exhaustive assignment is factorial in the vertex count; hard cap.
-MAX_ASSIGN_VERTICES = 12
+# Exhaustive assignment is factorial in the vertex count, about ten times
+# slower per added vertex (seconds at 9); hard cap.
+MAX_ASSIGN_VERTICES = 9
 
 
 class DegenerateTerminal(ValueError):
@@ -36,60 +40,6 @@ class SizeMismatch(ValueError):
 
 class TooManyVertices(ValueError):
     """Vertex count exceeds the exhaustive-assignment cap."""
-
-
-def _min_norm_weights(vertices: np.ndarray, point: np.ndarray,
-                      max_iter: int = 200) -> np.ndarray:
-    """Minimum-norm theta with vertices.T @ theta = point, sum(theta) = 1,
-    theta >= 0.
-
-    Active-set iteration on the nonnegativity bounds: clamp the most
-    negative weight, re-solve the free subproblem with a minimum-norm
-    least-squares solve, and release clamped weights whose multiplier turns
-    negative.  Feasibility is judged by the caller via the reconstruction
-    residual.
-
-    Each step depends only on the free set, so a repeated free set (points
-    outside the hull clamp and release the same weight) starts a cycle; the
-    loop then returns the weights that cycle would hold after max_iter steps.
-    """
-    q, _ = vertices.shape
-    A = np.vstack([vertices.T, np.ones((1, q))])
-    b = np.append(point, 1.0)
-    free = np.ones(q, dtype=bool)
-    theta = np.zeros(q)
-    first_seen = {}     # free set -> step at which it was first solved
-    assigned = []       # weights assigned at each step, or None
-    for step in range(max_iter):
-        if not free.any():
-            break
-        key = free.tobytes()
-        if key in first_seen:
-            cycle = assigned[first_seen[key]:]
-            k = (max_iter - 1 - first_seen[key]) % len(cycle)
-            theta = next((t for t in cycle[k::-1] + cycle[:k:-1]
-                          if t is not None), theta)
-            break
-        first_seen[key] = step
-        assigned.append(None)
-        tf, *_ = np.linalg.lstsq(A[:, free], b, rcond=None)
-        if tf.min() < -1e-12:
-            worst = np.flatnonzero(free)[np.argmin(tf)]
-            free[worst] = False
-            continue
-        theta = np.zeros(q)
-        theta[free] = tf
-        assigned[-1] = theta
-        # KKT: theta + A.T @ lam - mu = 0 with mu = 0 on the free set.
-        lam, *_ = np.linalg.lstsq(A[:, free].T, -tf, rcond=None)
-        mu = theta + A.T @ lam
-        clamped = ~free
-        if clamped.any() and mu[clamped].min() < -1e-9:
-            release = np.flatnonzero(clamped)[np.argmin(mu[clamped])]
-            free[release] = True
-            continue
-        break
-    return theta
 
 
 @dataclass(frozen=True)
@@ -116,10 +66,8 @@ class Terminal:
                     raise DegenerateTerminal(f"vertices {i} and {j} coincide")
         if q >= 3:
             for k in range(q):
-                others = np.delete(verts, k, axis=0)
-                theta = _min_norm_weights(others, verts[k])
-                residual = np.abs(others.T @ theta - verts[k]).max()
-                if residual <= HULL_TOL and abs(theta.sum() - 1.0) <= HULL_TOL:
+                if hull_distance(np.delete(verts, k, axis=0),
+                                 verts[k:k + 1]) <= HULL_TOL:
                     raise DegenerateTerminal(
                         f"vertex {k} is a convex combination of the others")
 
@@ -135,19 +83,15 @@ class Terminal:
         return self.vertices.mean(axis=0)
 
 
-def hull_distance(U, W) -> float:
-    """Euclidean distance between conv(U) and conv(W), (qu, d) and (qw, d).
+def _min_norm_corral(P: np.ndarray):
+    """Wolfe's minimum-norm point of conv(P), P (n, d) (Math. Programming
+    11, 1976).
 
-    The distance is the norm of the minimum-norm point of the difference
-    hull conv{u_i - w_j}, found by Wolfe's algorithm (Math. Programming
-    11, 1976): a corral of affinely independent differences whose affine
-    minimiser lies inside their hull.  Only differences enter, so the
-    result and the stopping test do not move when both sets are
-    translated.  The result is within DIST_REL_TOL * R of the true
-    distance, R the largest difference norm.
+    Returns the final corral S, affinely independent rows of P whose
+    affine minimiser lies inside their hull, and its positive weights lam
+    (sum 1): the point is lam @ P[S], and its norm is within
+    DIST_REL_TOL * R of the least norm on conv(P), R the largest row norm.
     """
-    P = np.asarray(U, dtype=float)[:, None] - np.asarray(W, dtype=float)
-    P = P.reshape(-1, P.shape[-1])
     sq = (P * P).sum(axis=1)
     tol = DIST_REL_TOL * np.sqrt(sq.max())
     S = [int(np.argmin(sq))]
@@ -157,7 +101,7 @@ def hull_distance(U, W) -> float:
     for _ in range(10 * len(P)):
         norm = np.linalg.norm(x)
         j = int(np.argmin(P @ x))
-        # |x| is within tol of the distance, by
+        # |x| is within tol of the least norm, by
         # |x| - dist <= (|x|^2 - min_j x.p_j) / |x|
         if norm <= tol or x @ x - P[j] @ x <= tol * norm or j in S:
             break
@@ -181,27 +125,49 @@ def hull_distance(U, W) -> float:
             S = [s for s, k in zip(S, keep) if k]
             lam = lam[keep]
         x = lam @ P[S]
-    return float(np.linalg.norm(x))
+    return S, lam
+
+
+def hull_distance(U, W) -> float:
+    """Euclidean distance between conv(U) and conv(W), (qu, d) and (qw, d).
+
+    The distance is the norm of the minimum-norm point of the difference
+    hull conv{u_i - w_j}.  Only differences enter, so the result and the
+    stopping test do not move when both sets are translated.  The result
+    is within DIST_REL_TOL * R of the true distance, R the largest
+    difference norm.
+    """
+    P = np.asarray(U, dtype=float)[:, None] - np.asarray(W, dtype=float)
+    P = P.reshape(-1, P.shape[-1])
+    S, lam = _min_norm_corral(P)
+    return float(np.linalg.norm(lam @ P[S]))
 
 
 def barycentric_weights(point, terminal: Terminal) -> np.ndarray:
     """Nonnegative weights theta with sum 1 and vertices.T @ theta = point.
 
-    For more vertices than dim + 1 the weights are the minimum-norm feasible
-    choice, so the map from points to weights is deterministic.  Raises
-    PointOutsideHull when no feasible weights reconstruct the point within
-    HULL_TOL.
+    The weights are the corral weights of the minimum-norm point of
+    conv(vertices - point): at most dim + 1 are nonzero, and for more
+    vertices than dim + 1 this picks one of the many feasible choices,
+    deterministically.  Raises PointOutsideHull when the point lies more
+    than HULL_TOL from the hull.  Only differences enter, so translating
+    the terminal and the point together does not change the weights
+    beyond the rounding of their coordinates.
     """
     p = np.asarray(point, dtype=float).reshape(-1)
     if p.shape[0] != terminal.dim:
         raise SizeMismatch(
             f"point has dim {p.shape[0]}, terminal has dim {terminal.dim}")
-    theta = _min_norm_weights(terminal.vertices, p)
-    residual = np.abs(terminal.vertices.T @ theta - p).max()
-    if residual > HULL_TOL or abs(theta.sum() - 1.0) > HULL_TOL:
+    P = terminal.vertices - p
+    S, lam = _min_norm_corral(P)
+    distance = np.linalg.norm(lam @ P[S])
+    if distance > HULL_TOL:
         raise PointOutsideHull(
-            f"reconstruction residual {residual:.3e} exceeds {HULL_TOL:.0e}")
-    return np.clip(theta, 0.0, None)
+            f"point lies {distance:.3e} m from the hull, more than "
+            f"{HULL_TOL:.0e}")
+    theta = np.zeros(terminal.count)
+    theta[S] = lam
+    return theta
 
 
 @dataclass(frozen=True)
@@ -306,3 +272,25 @@ def equispaced_weights(count: int, q: int) -> np.ndarray:
         if total >= count:
             return np.array(pts[:count], dtype=float) / r
         r += 1
+
+
+def equispaced_points(count: int, terminal: Terminal) -> np.ndarray:
+    """The first ``count`` distinct points of the weight lattice, (count, d).
+
+    A point is ``w @ vertices`` for the rows w of equispaced_weights(n, q),
+    n the least count whose rows give ``count`` points, each kept only if
+    no earlier row lies within HULL_TOL of it.  A simplex terminal maps
+    the lattice one-to-one, so there n = count; with more than dim + 1
+    vertices two weights can give one point.  Gaps are measured from the
+    first vertex, so the choice does not move with the terminal.
+    """
+    V = terminal.vertices
+    n = count
+    while True:
+        W = equispaced_weights(n, terminal.count)
+        offsets = W @ (V - V[0])
+        gaps = np.linalg.norm(offsets[:, None] - offsets[None], axis=2)
+        keep = np.flatnonzero(~np.tril(gaps < HULL_TOL, -1).any(axis=1))
+        if len(keep) >= count:
+            return (W @ V)[keep[:count]]
+        n += 1

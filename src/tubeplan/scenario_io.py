@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (HULL_TOL, PointOutsideHull, Terminal,
-                       barycentric_weights, equispaced_weights, hull_distance,
+                       barycentric_weights, equispaced_points, hull_distance,
                        OrderPairSet)
 from .mpcsim import AvoidanceModel, Metrics, MpcConfig, SimLog
 from .pathfinder import ObstacleSet, RrtConfig
@@ -301,9 +301,8 @@ def load_scenario(path) -> Scenario:
         count = _integer(robots_doc.get("count"), "robots.count")
         if count < 0:
             raise ValidationError("robots.count must be nonnegative")
-        weights = equispaced_weights(count, start_terminal.count) \
-            if count else np.zeros((0, start_terminal.count))
-        robot_starts = weights @ start_terminal.vertices
+        robot_starts = equispaced_points(count, start_terminal) \
+            if count else np.zeros((0, dim))
     else:
         robot_starts = (_points(robots_doc, "robots", dim)
                         if robots_doc else np.zeros((0, dim)))

@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from itertools import permutations
 
-from tubeplan.geometry import (DegenerateTerminal, OrderPairSet,
+from tubeplan.geometry import (HULL_TOL, DegenerateTerminal, OrderPairSet,
                                PointOutsideHull, SizeMismatch, Terminal,
                                TooManyVertices, assign_vertices,
-                               barycentric_weights, equispaced_weights,
-                               hull_distance, _min_norm_weights)
+                               barycentric_weights, equispaced_points,
+                               equispaced_weights, hull_distance)
 
 TRI = Terminal(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
@@ -57,49 +59,45 @@ def test_terminal_rejects_duplicates_and_interior_vertices():
         Terminal(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
 
 
-def _capped_min_norm_weights(vertices, point, max_iter=200):
-    """The weight iteration without cycle detection: it runs to its cap."""
-    q = vertices.shape[0]
-    A = np.vstack([vertices.T, np.ones((1, q))])
-    b = np.append(point, 1.0)
-    free = np.ones(q, dtype=bool)
-    theta = np.zeros(q)
-    for _ in range(max_iter):
-        if not free.any():
-            break
-        tf, *_ = np.linalg.lstsq(A[:, free], b, rcond=None)
-        if tf.min() < -1e-12:
-            free[np.flatnonzero(free)[np.argmin(tf)]] = False
-            continue
-        theta = np.zeros(q)
-        theta[free] = tf
-        lam, *_ = np.linalg.lstsq(A[:, free].T, -tf, rcond=None)
-        mu = theta + A.T @ lam
-        clamped = ~free
-        if clamped.any() and mu[clamped].min() < -1e-9:
-            free[np.flatnonzero(clamped)[np.argmin(mu[clamped])]] = True
-            continue
-        break
-    return theta
+def _lp_in_hull(vertices, point):
+    """Oracle: is the point a convex combination of the vertices?"""
+    from scipy.optimize import linprog
+    q = len(vertices)
+    A_eq = np.vstack([vertices.T, np.ones((1, q))])
+    return linprog(np.zeros(q), A_eq=A_eq, b_eq=np.append(point, 1.0),
+                   bounds=(0, None), method="highs").status == 0
 
 
-def test_weight_cycles_stop_early_with_the_capped_result(monkeypatch):
-    # outside the hull the iteration clamps and releases the same weights;
-    # stopping at the first repeated free set must return exactly what
-    # running to the cap returns, inside the hull and outside it (this
-    # seed includes cycles that assign two different weight vectors)
-    rng = np.random.default_rng(3)
-    for trial in range(300):
-        q, d = rng.integers(2, 7), rng.integers(1, 4)
-        vertices = rng.standard_normal((q, d))
-        point = (rng.dirichlet(np.ones(q)) @ vertices if trial % 2
-                 else vertices[0] + 3.0 * rng.standard_normal(d))
-        for cap in (*range(3, 12), 200):
-            assert np.array_equal(_min_norm_weights(vertices, point, cap),
-                                  _capped_min_norm_weights(vertices, point,
-                                                           cap))
-    # every vertex of a tetrahedron lies outside the hull of the others;
-    # the extreme-point check used to take 300 lstsq calls per vertex
+def _sphere_terminal(rng, q, d):
+    # points on a sphere are always in convex position
+    ring = rng.normal(size=(q, d))
+    return Terminal(rng.normal(size=d)
+                    + 2.0 * ring / np.linalg.norm(ring, axis=1)[:, None])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_barycentric_weights_agree_with_the_lp_oracle(d):
+    rng = np.random.default_rng(40 + d)
+    for trial in range(240):
+        terminal = _sphere_terminal(rng, rng.integers(2, 8), d)
+        V = terminal.vertices
+        p = (rng.dirichlet(np.ones(len(V))) @ V if trial % 2
+             else terminal.centroid() + rng.normal(size=d))
+        inside = _lp_in_hull(V, p)
+        try:
+            theta = barycentric_weights(p, terminal)
+        except PointOutsideHull:
+            assert not inside, trial
+            continue
+        assert inside, trial
+        assert theta.min() >= 0.0
+        assert abs(theta.sum() - 1.0) <= 1e-12
+        assert np.abs(V.T @ theta - p).max() <= 1e-9
+        assert np.count_nonzero(theta) <= d + 1
+
+
+def test_extreme_vertex_check_takes_few_solves(monkeypatch):
+    # every vertex of a tetrahedron lies outside the hull of the others
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -111,6 +109,21 @@ def test_weight_cycles_stop_early_with_the_capped_result(monkeypatch):
     Terminal(np.array([[0.0, 0.0, 0.0], [3.0, 8.0, 0.0], [3.0, 0.0, 8.0],
                        [0.0, 8.0, 8.0]]))
     assert len(calls) <= 4 * 4
+
+
+@pytest.mark.parametrize("name", ["corridor_2d", "triangle_2d", "tetra_3d"])
+def test_barycentric_weights_do_not_move_with_the_terminal(name):
+    with open(f"scenarios/{name}.json", encoding="utf-8") as f:
+        V = np.array(json.load(f)["start_terminal"], dtype=float)
+    rng = np.random.default_rng(11)
+    points = np.vstack([rng.dirichlet(np.ones(len(V)), size=200) @ V, V])
+    base = [barycentric_weights(p, Terminal(V)) for p in points]
+    for k in range(8):
+        offset = 10.0 ** k * np.ones(V.shape[1])
+        shifted = Terminal(V + offset)
+        for p, theta in zip(points + offset, base):
+            assert np.abs(barycentric_weights(p, shifted) - theta).max() \
+                <= 1e-8, (k, p)
 
 
 def test_terminal_properties():
@@ -156,10 +169,12 @@ def test_assign_tie_breaks_lexicographically():
 
 
 def test_assign_vertex_cap():
-    pts = np.column_stack([np.arange(13.0), np.arange(13.0) ** 2])
-    big = Terminal(pts)
-    with pytest.raises(TooManyVertices):
-        assign_vertices(big, big)
+    # 9 vertices take seconds; each more about ten times as long
+    for q in (10, 13):
+        pts = np.column_stack([np.arange(float(q)), np.arange(float(q)) ** 2])
+        big = Terminal(pts)
+        with pytest.raises(TooManyVertices):
+            assign_vertices(big, big)
 
 
 def test_order_pair_set_validation():
@@ -191,6 +206,40 @@ def test_equispaced_weights_exact_lattice():
 def test_equispaced_weights_validation():
     with pytest.raises(ValueError):
         equispaced_weights(0, 3)
+
+
+def test_equispaced_points_are_distinct_on_a_square():
+    # the lattice weights (1/2, 0, 1/2, 0) and (0, 1/2, 0, 1/2) both give
+    # the centre; only the first is kept
+    square = Terminal(np.array([[0.0, -2.0], [0.0, 2.0], [-3.0, 2.0],
+                                [-3.0, -2.0]]))
+    for count in range(1, 25):
+        points = equispaced_points(count, square)
+        assert points.shape == (count, 2)
+        gaps = np.linalg.norm(points[:, None] - points[None], axis=2)
+        assert gaps[np.triu_indices(count, 1)].min(initial=np.inf) \
+            >= HULL_TOL
+        for p in points:
+            barycentric_weights(p, square)
+        # moved far away, the same lattice points are kept
+        offset = np.array([1e7, -1e7])
+        moved = equispaced_points(count, Terminal(square.vertices + offset))
+        assert np.abs(moved - offset - points).max() <= 1e-8
+    centre = np.array([-1.5, 0.0])
+    assert (np.linalg.norm(equispaced_points(9, square) - centre, axis=1)
+            < HULL_TOL).sum() == 1
+
+
+def test_equispaced_points_on_a_simplex_are_the_lattice():
+    for V in ([[0.0, -7.5], [0.0, 7.5]],
+              [[0.0, -1.6], [0.0, 1.6], [-1.2, 0.0]],
+              [[0.0, 0.0, 0.0], [3.0, 8.0, 0.0], [3.0, 0.0, 8.0],
+               [0.0, 8.0, 8.0]]):
+        terminal = Terminal(np.array(V))
+        for count in (1, 2, 6, 11, 20, 35):
+            assert np.array_equal(
+                equispaced_points(count, terminal),
+                equispaced_weights(count, terminal.count) @ terminal.vertices)
 
 
 def _lp_hulls_intersect(U, W):

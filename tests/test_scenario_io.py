@@ -156,6 +156,21 @@ def test_robot_placement_is_validated(tmp_path):
     expect_invalid(tmp_path, doc, "nonnegative")
 
 
+@pytest.mark.parametrize("count", [8, 9, 12])
+def test_robot_count_on_a_square_places_distinct_robots(tmp_path, count):
+    # two lattice weights give the square's centre; one robot goes there
+    doc = minimal_doc()
+    doc["start_terminal"] = [[0.0, -2.0], [0.0, 2.0], [-3.0, 2.0],
+                             [-3.0, -2.0]]
+    doc["goal_terminal"] = [[10.0, -2.0], [10.0, 2.0], [7.0, 2.0],
+                            [7.0, -2.0]]
+    doc["robots"] = {"count": count}
+    starts = load_scenario(write_doc(tmp_path, doc)).robot_starts
+    assert starts.shape == (count, 2)
+    gaps = np.linalg.norm(starts[:, None] - starts[None], axis=2)
+    assert gaps[np.triu_indices(count, 1)].min() >= 1e-9
+
+
 def test_version_dimension_parse_and_io_errors(tmp_path):
     # scenarios stay at version 1 while tube documents moved to version 3
     doc = minimal_doc()
