@@ -31,10 +31,11 @@ from .trajopt import RankDeficient
 from .tube import OptimalVirtualTube, TrajectoryConfig, tube_from_waypoints
 
 SCHEMA_VERSION = 1  # scenario documents
-# tube documents: version 3 stores no derived value but basis_b; version 2
-# also stored the knots, chord length, dimension and QP count, and
-# version 1 global-time coefficients.  Both are rejected, not converted.
-TUBE_SCHEMA_VERSION = 3
+# tube documents: version 4 stores six trajectory settings and no derived
+# value but basis_b; version 3 also stored the corridor mode, version 2
+# the knots, chord length, dimension and QP count, and version 1
+# global-time coefficients.  All three are rejected, not converted.
+TUBE_SCHEMA_VERSION = 4
 # largest |A basis_x - basis_b| entry a loaded tube may carry
 _BASIS_TOL = 1e-8
 
@@ -151,7 +152,6 @@ _TRAJECTORY_KEYS = {
     "planner.segments": ("segments", _integer),
     "planner.corridor.width": ("corridor_width", _number),
     "planner.corridor.samples_per_segment": ("corridor_samples", _integer),
-    "planner.corridor.mode": ("corridor_mode", lambda val, path: val),
 }
 _MPC_KEYS = {
     "controller.horizon": ("horizon", _integer),

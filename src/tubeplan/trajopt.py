@@ -8,8 +8,9 @@ t is the tau-derivative times h_j^-p.  Local time keeps the coefficients
 near the size of the positions they describe (per-segment
 parameterization; Richter, Bry & Roy, ISRR 2013).  The planning problem
 minimises the integral of the squared k_r-th derivative, x^T H x, subject
-to interpolation/continuity equalities A x = b and optional corridor
-inequalities G x <= h.
+to interpolation/continuity equalities A x = b and the corridor
+inequalities G x <= h, which ``corridor_constraints`` derives from all of
+a tube's paths at once so that every basis problem shares them.
 
 ``solve_qp`` takes one form, min y^T H y subject to G y <= h with H
 positive definite.  A planning problem reaches it through
@@ -53,13 +54,6 @@ def basis_row(tau: float, deriv: int, order: int,
         row[i] = math.perm(i, deriv) * c
         c *= tau
     return row
-
-
-@dataclass
-class CostSpec:
-    """Energy Hessian for objective x^T H x."""
-
-    H: np.ndarray
 
 
 @dataclass
@@ -145,7 +139,7 @@ def equality_rhs(waypoints, continuity: int) -> np.ndarray:
 
 
 def assemble_cost(knots: KnotVector, deriv_order: int, order: int,
-                  dim: int) -> CostSpec:
+                  dim: int) -> np.ndarray:
     """Hessian of the integrated squared deriv_order-th derivative.
 
     Block-diagonal per segment.  Over tau in [0, 1] the monomial integrals
@@ -161,52 +155,53 @@ def assemble_cost(knots: KnotVector, deriv_order: int, order: int,
     # rows and columns below order k are zero, where e may not be positive
     S0 = np.outer(falling, falling) / np.maximum(e, 1)
     scale = np.diff(knots.u) ** (1 - 2 * deriv_order)
-    return CostSpec(np.kron(np.diag(scale), np.kron(S0, np.eye(dim))))
+    return np.kron(np.diag(scale), np.kron(S0, np.eye(dim)))
 
 
-@dataclass
-class CorridorSpec:
-    """Per-segment corridor widths and the number of interior samples."""
-
-    width: np.ndarray  # scalar broadcast to one width per segment
-    samples_per_segment: int = 3
-
-
-def corridor_constraints(waypoints, knots: KnotVector, spec: CorridorSpec,
+def corridor_constraints(waypoints, width: float, samples: int,
                          order: int) -> AffineInequalities:
-    """Linear rows bounding the perpendicular offset from each chord.
+    """Rows G x <= h that every basis problem of the (q, m + 1, d) paths
+    shares: a corridor around their mean polyline.
 
-    At samples tau = s / (1 + n_c), s = 1 .. n_c, strictly inside each
-    segment, the component of h(tau) - q_i perpendicular to the segment
-    direction must satisfy an infinity-norm bound; each sample contributes
-    2 * dim affine rows, the upper and then the lower bound of each
-    coordinate.  Local time gives every segment the same sample monomials.
+    At tau = s / (1 + samples), s = 1 .. samples, strictly inside each
+    segment, the component of h(tau) minus the segment's first mean
+    waypoint perpendicular to its mean chord must satisfy an
+    infinity-norm bound; each sample contributes 2 * dim affine rows, the
+    upper and then the lower bound of each coordinate.  A segment's bound
+    is width plus the largest perpendicular offset of any path's
+    waypoints at its ends from the mean, so each path's own problem stays
+    feasible.  Local time gives every segment the same sample monomials,
+    so the knots do not enter.
     """
-    pts = np.asarray(waypoints, dtype=float)
-    m = pts.shape[0] - 1
-    dim = pts.shape[1]
-    widths = np.broadcast_to(np.asarray(spec.width, dtype=float), (m,))
-    n_c = spec.samples_per_segment
-    monos = np.array([basis_row(s / (1.0 + n_c), 0, order)
-                      for s in range(1, n_c + 1)])
+    paths = np.asarray(waypoints, dtype=float)
+    mean = paths.mean(axis=0)
+    m = mean.shape[0] - 1
+    dim = mean.shape[1]
+    monos = np.array([basis_row(s / (1.0 + samples), 0, order)
+                      for s in range(1, samples + 1)])
     w = _coef_width(order, dim)
-    rows = 2 * n_c * dim
+    rows = 2 * samples * dim
     G = np.zeros((m * rows, m * w))
     h = np.empty(m * rows)
     for seg in range(m):
-        chord = pts[seg + 1] - pts[seg]
+        chord = mean[seg + 1] - mean[seg]
         norm = np.linalg.norm(chord)
         if norm < 1e-12:
             raise ValueError(f"segment {seg} has zero chord")
         tangent = chord / norm
         P = np.eye(dim) - np.outer(tangent, tangent)
+        spread = 0.0
+        for e in (seg, seg + 1):
+            deltas = paths[:, e, :] - mean[e]       # (q, d)
+            spread = max(spread, np.abs(deltas @ P.T).max())
+        bound = width + spread
         # row (s, r) of the Kronecker product samples coordinate r at s
         upper = np.kron(monos, P)
         G[seg * rows:(seg + 1) * rows, seg * w:(seg + 1) * w] = np.stack(
             [upper, -upper], axis=1).reshape(rows, w)
-        offset = np.tile(P @ pts[seg], n_c)
+        offset = np.tile(P @ mean[seg], samples)
         h[seg * rows:(seg + 1) * rows] = np.stack(
-            [widths[seg] + offset, widths[seg] - offset], axis=1).ravel()
+            [bound + offset, bound - offset], axis=1).ravel()
     return AffineInequalities(G, h)
 
 

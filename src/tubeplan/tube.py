@@ -1,14 +1,14 @@
 """Optimal virtual tubes: bundles of minimum-energy trajectories whose
 members are convex combinations of a few basis solutions.
 
-All basis problems share the same equality matrix, cost Hessian, and (in
-strict corridor mode) the same inequality rows; only the right-hand sides
-differ.  Any member with simplex weights theta is then optimal for the
-combined right-hand side and costs one matrix-vector product instead of a
-full QP solve.  A tube is fixed by its settings, vertex pairs, equalized
-waypoints and basis solutions; ``tube_structure`` derives everything else
-from them, and ``tube_from_waypoints`` is the one builder that planning
-(``build_tube``) and loading (``scenario_io.load_tube``) both call.
+All basis problems share the same equality matrix, cost Hessian and
+corridor rows; only the right-hand sides differ.  Any member with simplex
+weights theta is then optimal for the combined right-hand side and costs
+one matrix-vector product instead of a full QP solve.  A tube is fixed
+by its settings, vertex pairs, equalized waypoints and basis solutions;
+``tube_structure`` derives everything else from them, and
+``tube_from_waypoints`` is the one builder that planning (``build_tube``)
+and loading (``scenario_io.load_tube``) both call.
 """
 
 import time
@@ -22,12 +22,18 @@ from .knots import (KnotVector, chord_length_knots, normalize_knots,
 from .pathfinder import (ObstacleSet, RrtConfig, equalize_waypoints,
                          find_homotopic_paths)
 from .trajopt import (FEAS_TOL, ActiveSetSolution, AffineInequalities,
-                      CorridorSpec, CostSpec, Infeasible, PiecewisePolynomial,
-                      ReducedEqualities, assemble_cost, assemble_equality,
-                      corridor_constraints, equality_rhs, evaluate_grid,
-                      reduce_equalities, solve_qp)
+                      Infeasible, PiecewisePolynomial, ReducedEqualities,
+                      assemble_cost, assemble_equality, corridor_constraints,
+                      equality_rhs, evaluate_grid, reduce_equalities,
+                      solve_qp)
 
-CORRIDOR_MODES = ("strict", "none")
+# the most segments TrajectoryConfig accepts: the dense equality, cost
+# and corridor matrices grow with the square of the segment count (a
+# tetra_3d plan at 100 segments peaks at 273 MB of RSS)
+MAX_SEGMENTS = 100
+# the most corridor samples per segment: each adds 2 * d dense rows on
+# every segment (413 MB for tetra_3d at both caps)
+MAX_CORRIDOR_SAMPLES = 20
 
 
 class InvalidWeights(ValueError):
@@ -48,7 +54,6 @@ class TrajectoryConfig:
     segments: int = 7
     corridor_width: float = 1.0
     corridor_samples: int = 3
-    corridor_mode: str = "strict"
 
     def __post_init__(self):
         for ok, rule in (
@@ -58,11 +63,13 @@ class TrajectoryConfig:
                 (0 <= self.continuity <= self.order,
                  "continuity must be in [0, order]"),
                 (self.segments >= 1, "segments must be at least 1"),
+                (self.segments <= MAX_SEGMENTS,
+                 f"segments must be at most {MAX_SEGMENTS}"),
                 (self.corridor_width > 0, "corridor_width must be positive"),
                 (self.corridor_samples >= 1,
                  "corridor_samples must be at least 1"),
-                (self.corridor_mode in CORRIDOR_MODES,
-                 f"corridor_mode must be one of {CORRIDOR_MODES}")):
+                (self.corridor_samples <= MAX_CORRIDOR_SAMPLES,
+                 f"corridor_samples must be at most {MAX_CORRIDOR_SAMPLES}")):
             if not ok:
                 raise ValueError(rule)
 
@@ -83,8 +90,8 @@ class OptimalVirtualTube:
     chord_total: float           # mean chord length before normalization
     A: np.ndarray                # shared equality matrix
     basis_b: np.ndarray          # (q, rows) stacked right-hand sides
-    cost: CostSpec
-    corridor: AffineInequalities | None          # shared rows (strict mode)
+    H: np.ndarray                # shared cost Hessian
+    corridor: AffineInequalities                 # shared inequality rows
 
     @property
     def count(self) -> int:
@@ -123,46 +130,23 @@ def tube_structure(waypoints: np.ndarray, config: TrajectoryConfig):
     """What every basis problem of a tube shares, from its (q, m + 1, d)
     waypoints and settings.
 
-    Returns ``(knots, chord_total, A, rhs, cost, corridor)``: the shared
+    Returns ``(knots, chord_total, A, rhs, H, corridor)``: the shared
     knots, the normalized mean of the per-pair chord-length knots, and
     their span before normalization; the equality matrix, which depends
     only on the knots and the polynomial settings; the (q, rows)
-    right-hand sides, one per pair; the cost; and the shared corridor
-    rows, or None when ``corridor_mode`` is "none".
-
-    The corridor runs around the mean polyline.  Widths per segment grow
-    by the largest perpendicular offset of any pair's waypoints from the
-    mean chord, so each basis problem stays feasible while all problems
-    share identical inequality rows.
+    right-hand sides, one per pair; the cost Hessian; and the corridor
+    rows that ``corridor_constraints`` derives from all the waypoints.
     """
     shared_u = public_knots([chord_length_knots(p) for p in waypoints])
     knots = normalize_knots(shared_u)
     A = assemble_equality(waypoints[0], knots, config.order,
                           config.continuity)
     rhs = np.array([equality_rhs(p, config.continuity) for p in waypoints])
-    cost = assemble_cost(knots, config.cost_derivative, config.order,
-                         waypoints.shape[2])
-    shared = (knots, shared_u.total, A, rhs, cost)
-    if config.corridor_mode == "none":
-        return (*shared, None)
-    mean = waypoints.mean(axis=0)
-    m = mean.shape[0] - 1
-    dim = mean.shape[1]
-    widths = np.empty(m)
-    for seg in range(m):
-        chord = mean[seg + 1] - mean[seg]
-        norm = np.linalg.norm(chord)
-        if norm < 1e-12:
-            raise ValueError(f"segment {seg} has zero chord")
-        tangent = chord / norm
-        P = np.eye(dim) - np.outer(tangent, tangent)
-        offset = 0.0
-        for e in (seg, seg + 1):
-            deltas = waypoints[:, e, :] - mean[e]       # (q, d)
-            offset = max(offset, np.abs(deltas @ P.T).max())
-        widths[seg] = config.corridor_width + offset
-    spec = CorridorSpec(widths, config.corridor_samples)
-    return (*shared, corridor_constraints(mean, knots, spec, config.order))
+    H = assemble_cost(knots, config.cost_derivative, config.order,
+                      waypoints.shape[2])
+    corridor = corridor_constraints(waypoints, config.corridor_width,
+                                    config.corridor_samples, config.order)
+    return knots, shared_u.total, A, rhs, H, corridor
 
 
 @dataclass
@@ -177,14 +161,13 @@ class QpSolution(ActiveSetSolution):
     lam: np.ndarray
 
 
-def _solve_reduced(reduced: ReducedEqualities,
-                   corridor: AffineInequalities | None,
+def _solve_reduced(reduced: ReducedEqualities, corridor: AffineInequalities,
                    b: np.ndarray) -> QpSolution:
-    """Minimise x^T H x subject to A x = b and the corridor rows, if any,
-    as x = x_u + Z w: x_u minimises on A x = b, and ``solve_qp`` finds w."""
+    """Minimise x^T H x subject to A x = b and the corridor rows as
+    x = x_u + Z w: x_u minimises on A x = b, and ``solve_qp`` finds w.
+    While no corridor row binds, w = 0 and x is x_u bit for bit."""
     x_u = reduced.minimiser(b)
-    G, h = ((np.zeros((0, x_u.size)), np.zeros(0)) if corridor is None
-            else (corridor.G, corridor.h))
+    G, h = corridor.G, corridor.h
     sol = solve_qp(reduced.factor, G @ reduced.Z, h - G @ x_u)
     x = x_u + reduced.Z @ sol.x
     grad = 2.0 * reduced.H @ x + G.T @ sol.mu
@@ -212,15 +195,15 @@ def tube_from_waypoints(pairs: OrderPairSet, waypoints,
     reduction of A.
     """
     waypoints = np.asarray(waypoints, dtype=float)
-    knots, chord_total, A, rhs, cost, corridor = tube_structure(waypoints,
-                                                                config)
+    knots, chord_total, A, rhs, H, corridor = tube_structure(waypoints,
+                                                             config)
     if basis_x is None:
-        reduced = reduce_equalities(A, cost.H)
+        reduced = reduce_equalities(A, H)
         basis_x = np.array([_solve_reduced(reduced, corridor, b).x
                             for b in rhs])
     return OptimalVirtualTube(
         pairs=pairs, config=config, waypoints=waypoints, basis_x=basis_x,
-        knots=knots, chord_total=chord_total, A=A, basis_b=rhs, cost=cost,
+        knots=knots, chord_total=chord_total, A=A, basis_b=rhs, H=H,
         corridor=corridor)
 
 
@@ -255,8 +238,8 @@ def direct_member_solve(tube: OptimalVirtualTube, theta) -> QpSolution:
     """Solve the member's QP from scratch, its reduction of A included
     (the reference for verification), with the tube's corridor rows."""
     b = combine_rhs(tube, theta)
-    return _solve_reduced(reduce_equalities(tube.A, tube.cost.H),
-                          tube.corridor, b)
+    return _solve_reduced(reduce_equalities(tube.A, tube.H), tube.corridor,
+                          b)
 
 
 @dataclass
@@ -283,14 +266,10 @@ def verify_member_optimality(tube: OptimalVirtualTube, theta,
     theta = check_weights(theta, tube.count)
     x = tube.basis_x.T @ theta
     b = tube.basis_b.T @ theta
-    H = tube.cost.H
+    H = tube.H
     eq_residual = float(np.abs(tube.A @ x - b).max())
-
     corridor = tube.corridor
-    if corridor is not None:
-        corridor_violation = float(max(corridor.residuals(x).max(), 0.0))
-    else:
-        corridor_violation = 0.0
+    corridor_violation = float(max(corridor.residuals(x).max(), 0.0))
 
     direct = direct_member_solve(tube, theta)
     coefficient_error = float(np.abs(x - direct.x).max())
@@ -299,18 +278,16 @@ def verify_member_optimality(tube: OptimalVirtualTube, theta,
         abs(direct.objective), 1e-12)
 
     # Feasible probe directions: null space of the equality matrix, also
-    # tangent to any corridor rows tight at x (stepping off an active row
+    # tangent to the corridor rows tight at x (stepping off an active row
     # is infeasible, so only sliding directions are informative).  Probe
     # steps are kept tiny: the inner-product tolerance is absolute, and
     # null-space leakage amplified by the equality multipliers (norm up to
     # ~1e8 on ill-conditioned instances) grows linearly with step size.
+    slack = corridor.h - corridor.G @ x
+    tight_rows = slack <= 1e-8 * np.maximum(1.0, np.abs(corridor.h))
     walls = tube.A
-    slack = None
-    if corridor is not None:
-        slack = corridor.h - corridor.G @ x
-        tight_rows = slack <= 1e-8 * np.maximum(1.0, np.abs(corridor.h))
-        if tight_rows.any():
-            walls = np.vstack([walls, corridor.G[tight_rows]])
+    if tight_rows.any():
+        walls = np.vstack([walls, corridor.G[tight_rows]])
     _, s, vh = np.linalg.svd(walls)
     rank = int((s > s[0] * 1e-12).sum())
     null = vh[rank:].T
@@ -322,13 +299,11 @@ def verify_member_optimality(tube: OptimalVirtualTube, theta,
         scale = 1e-8 * max(1.0, float(np.abs(x).max()))
         steps *= (scale / np.maximum(np.linalg.norm(steps, axis=1),
                                      1e-300))[:, None]
-        alpha = np.ones(directions)
-        if corridor is not None:
-            g_steps = steps @ corridor.G.T
-            ratio = np.divide(np.maximum(slack, 0.0), g_steps,
-                              out=np.full_like(g_steps, np.inf),
-                              where=g_steps > 1e-300)
-            alpha = np.minimum(alpha, 0.99 * ratio.min(axis=1))
+        g_steps = steps @ corridor.G.T
+        ratio = np.divide(np.maximum(slack, 0.0), g_steps,
+                          out=np.full_like(g_steps, np.inf),
+                          where=g_steps > 1e-300)
+        alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
         # y - x is alpha * step by construction; using the exact step
         # avoids the cancellation noise of forming (x + step) - x.
         probes = (alpha[:, None] * steps) @ (2.0 * H @ x)

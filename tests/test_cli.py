@@ -114,7 +114,9 @@ def test_verify_flags_tampered_tube(triangle_tube, tmp_path, capsys):
     ("config.cost_derivative", 9), ("config.corridor_mode", "loose"),
     ("dimension", 3), ("dimension", "2"), ("dimension", 2.7),
     ("chord_total", 6.0), ("knots", [0.0, 1.0]), ("bogus", 1),
-    ("config.bogus", 1), ("schema_version", 1), ("schema_version", 2)])
+    ("config.bogus", 1), ("schema_version", 1), ("schema_version", 2),
+    ("schema_version", 3), ("config.segments", 101),
+    ("config.corridor_samples", 21)])
 def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
                                value):
     # array fields get value added to their first number, others are set;
@@ -140,12 +142,14 @@ def test_tampered_tube_exits_2(triangle_tube, tmp_path, capsys, field,
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         if field == "schema_version":
-            # global-time (version 1) tubes and version 2 tubes, which
-            # stored derived values, are rejected, never converted
-            assert f"schema_version {value} unsupported (expected 3)" in err
+            # global-time (version 1) tubes, version 2 tubes, which stored
+            # derived values, and version 3 tubes, which stored a corridor
+            # mode, are rejected, never converted
+            assert f"schema_version {value} unsupported (expected 4)" in err
         elif added:
             # a stale derived value such as chord_total cannot disagree
-            # with the waypoints: it is not read at all
+            # with the waypoints, nor can the corridor mode switch the
+            # corridor off: neither is read at all
             assert f"{field}: unknown key" in err
 
 
@@ -209,6 +213,15 @@ def test_invalid_documents_exit_2(tmp_path, capsys):
     stale.write_text(json.dumps({"schema_version": 99}), encoding="utf-8")
     assert main(["verify", "--tube", str(stale)]) == 2
     assert "unsupported" in capsys.readouterr().err
+    # a scenario that still sets the corridor mode names the key
+    moded = json.loads(open(TRIANGLE, encoding="utf-8").read())
+    moded["planner"]["corridor"]["mode"] = "strict"
+    stale.write_text(json.dumps(moded), encoding="utf-8")
+    assert main(["plan", "--scenario", str(stale),
+                 "--out", str(tmp_path / "t.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: planner.corridor.mode: unknown key\n")
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_blocked_scenario_exits_3(tmp_path, capsys):

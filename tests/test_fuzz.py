@@ -40,14 +40,15 @@ SCENARIO = {
                 "rrt": {"max_iterations": 60, "step_size": 2.0},
                 "polynomial": {"order": 5, "cost_derivative": 3,
                                "continuity": 3},
-                "corridor": {"mode": "strict", "width": 1.0,
-                             "samples_per_segment": 3}},
+                "corridor": {"width": 1.0, "samples_per_segment": 3}},
     "controller": {"horizon": 10, "timestep": 0.1,
                    "avoidance": {"ellipse_axes": [0.5, 0.5]}},
     "time_limit": 5.0,
     "goal_radius": 0.2,
 }
 
+# planner.corridor.mode is a key a scenario does not hold: setting it
+# adds a stale key
 SCENARIO_FIELDS = [
     ("schema_version",), ("dimension",), ("rng_seed",), ("start_terminal",),
     ("start_terminal", 0), ("start_terminal", 1, 0), ("goal_terminal",),
@@ -72,8 +73,8 @@ SCENARIO_INTEGERS = [
     ("planner", "polynomial", "continuity"),
     ("planner", "corridor", "samples_per_segment"), ("controller", "horizon")]
 
-# chord_total and config.knots are keys a tube document does not hold:
-# setting them adds a stale or misplaced key
+# chord_total, config.knots and config.corridor_mode are keys a tube
+# document does not hold: setting them adds a stale or misplaced key
 TUBE_FIELDS = [
     ("schema_version",), ("kind",), ("config",),
     ("config", "order"), ("config", "cost_derivative"),

@@ -533,7 +533,7 @@ def test_tick_qps_match_the_per_robot_assembly(monkeypatch):
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(3))
     tube = tube_from_waypoints(
-        pairs, waypoints, TrajectoryConfig(segments=6, corridor_mode="none"))
+        pairs, waypoints, TrajectoryConfig(segments=6))
     thetas = np.array([[0.55, 0.3, 0.15], [0.2, 0.47, 0.33],
                        [0.31, 0.12, 0.57], [1.0, 0.0, 0.0]])
     starts = thetas @ pairs.starts.vertices
@@ -599,7 +599,7 @@ def straight_pair_tube():
     p0 = np.column_stack([xs, np.zeros(7)])
     p1 = np.column_stack([xs, np.ones(7)])
     waypoints = np.array([p0, p1])
-    config = TrajectoryConfig(segments=6, corridor_mode="none")
+    config = TrajectoryConfig(segments=6)
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
     return tube_from_waypoints(pairs, waypoints, config)

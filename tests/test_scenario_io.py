@@ -53,7 +53,6 @@ def test_load_corridor_scenario():
     assert sc.traj.cost_derivative == 3
     assert sc.traj.continuity == 3
     assert sc.traj.segments == 5
-    assert sc.traj.corridor_mode == "strict"
     assert sc.mpc.horizon == 10
     assert sc.mpc.timestep == 0.1
     assert sc.mpc.reference_speed == 2.5
@@ -172,13 +171,13 @@ def test_robot_count_on_a_square_places_distinct_robots(tmp_path, count):
 
 
 def test_version_dimension_parse_and_io_errors(tmp_path):
-    # scenarios stay at version 1 while tube documents moved to version 3
+    # scenarios stay at version 1 while tube documents moved to version 4
     doc = minimal_doc()
     assert doc["schema_version"] == SCHEMA_VERSION == 1
     assert load_scenario(write_doc(tmp_path, doc)).dim == 2
     doc["schema_version"] = TUBE_SCHEMA_VERSION
     with pytest.raises(VersionError,
-                       match=r"schema_version 3 unsupported \(expected 1\)"):
+                       match=r"schema_version 4 unsupported \(expected 1\)"):
         load_scenario(write_doc(tmp_path, doc))
     doc = minimal_doc()
     doc["dimension"] = 4
@@ -201,13 +200,10 @@ def test_geometry_and_planner_settings_are_validated(tmp_path):
     doc = minimal_doc()
     doc["planner"] = {"rrt": {"goal_bias": 1.0}}
     expect_invalid(tmp_path, doc, r"\[0, 1\)")
+    # every tube has its corridor: no key switches it off
     doc = minimal_doc()
-    doc["planner"] = {"corridor": {"mode": "banana"}}
-    expect_invalid(tmp_path, doc, "corridor.mode")
-    # the loose mode, whose members carry no optimality guarantee, is gone
-    doc = minimal_doc()
-    doc["planner"] = {"corridor": {"mode": "loose"}}
-    expect_invalid(tmp_path, doc, "must be one of")
+    doc["planner"] = {"corridor": {"mode": "strict"}}
+    expect_invalid(tmp_path, doc, r"^planner\.corridor\.mode: unknown key$")
     for continuity in (-1, 6):
         doc = minimal_doc()
         doc["planner"] = {"polynomial": {"order": 5,
@@ -274,6 +270,9 @@ def test_sections_must_be_objects(tmp_path, path):
     ("planner.rrt.corridor_shrink_radius", -1.0,
      "planner.rrt.corridor_shrink_radius must be positive"),
     ("planner.segments", 0, "planner.segments must be at least 1"),
+    ("planner.segments", 101, "planner.segments must be at most 100"),
+    ("planner.corridor.samples_per_segment", 21,
+     "planner.corridor.samples_per_segment must be at most 20"),
     ("planner.polynomial.cost_derivative", 6,
      r"planner.polynomial.cost_derivative must be in \[1, order\]"),
     ("planner.corridor.width", 0.0, "planner.corridor.width must be positive"),
@@ -334,19 +333,19 @@ def test_readme_lists_every_scenario_key():
     assert listed == SCENARIO_KEYS
 
 
-def hand_tube(corridor_mode):
+def hand_tube():
     """Two parallel straight member paths, solved directly."""
     xs = np.linspace(0.0, 12.0, 7)
     waypoints = np.array([np.column_stack([xs, np.zeros(7)]),
                           np.column_stack([xs, np.ones(7)])])
-    config = TrajectoryConfig(segments=6, corridor_mode=corridor_mode)
+    config = TrajectoryConfig(segments=6)
     pairs = OrderPairSet(Terminal(waypoints[:, 0, :]),
                          Terminal(waypoints[:, -1, :]), np.arange(2))
     return tube_from_waypoints(pairs, waypoints, config)
 
 
 def test_tube_round_trip_is_bit_faithful(tmp_path):
-    tube = hand_tube("none")
+    tube = hand_tube()
     first = tmp_path / "tube.json"
     save_tube(tube, first)
     loaded = load_tube(first)
@@ -359,8 +358,7 @@ def test_tube_round_trip_is_bit_faithful(tmp_path):
     assert loaded.config == tube.config
     # derived matrices are rebuilt deterministically from the document
     assert np.array_equal(loaded.A, tube.A)
-    assert np.array_equal(loaded.cost.H, tube.cost.H)
-    assert loaded.corridor is None
+    assert np.array_equal(loaded.H, tube.H)
     # saving the reloaded tube reproduces the file byte for byte
     second = tmp_path / "again.json"
     save_tube(loaded, second)
@@ -381,7 +379,7 @@ def test_shipped_tubes_reload_bit_for_bit(tmp_path, name):
     assert loaded.chord_total == planned.chord_total
     for field in ("waypoints", "basis_x", "basis_b", "A"):
         assert np.array_equal(getattr(loaded, field), getattr(planned, field))
-    assert np.array_equal(loaded.cost.H, planned.cost.H)
+    assert np.array_equal(loaded.H, planned.H)
     assert np.array_equal(loaded.corridor.G, planned.corridor.G)
     assert np.array_equal(loaded.corridor.h, planned.corridor.h)
     # saving the reloaded tube rewrites the file byte for byte
@@ -391,17 +389,16 @@ def test_shipped_tubes_reload_bit_for_bit(tmp_path, name):
 
 
 def test_strict_tube_reloads_its_corridor(tmp_path):
-    tube = hand_tube("strict")
+    tube = hand_tube()
     path = tmp_path / "tube.json"
     save_tube(tube, path)
     loaded = load_tube(path)
-    assert loaded.corridor is not None
     assert np.array_equal(loaded.corridor.G, tube.corridor.G)
     assert np.array_equal(loaded.corridor.h, tube.corridor.h)
 
 
 def tamper(tmp_path, mutate, name="tampered.json"):
-    save_tube(hand_tube("none"), tmp_path / "tube.json")
+    save_tube(hand_tube(), tmp_path / "tube.json")
     doc = json.loads((tmp_path / "tube.json").read_text(encoding="utf-8"))
     mutate(doc)
     path = tmp_path / name
@@ -420,14 +417,15 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
     with pytest.raises(VersionError):
         load_tube(tamper(tmp_path, wrong_version))
 
-    # version 1 (global-time coefficients) and version 2 (derived values
-    # stored) are rejected, never converted
-    for version in (1, 2):
+    # version 1 (global-time coefficients), version 2 (derived values
+    # stored) and version 3 (a corridor mode stored) are rejected, never
+    # converted
+    for version in (1, 2, 3):
         def old_version(doc):
-            assert doc["schema_version"] == TUBE_SCHEMA_VERSION == 3
+            assert doc["schema_version"] == TUBE_SCHEMA_VERSION == 4
             doc["schema_version"] = version
         with pytest.raises(VersionError, match=(
-                rf"schema_version {version} unsupported \(expected 3\)")):
+                rf"schema_version {version} unsupported \(expected 4\)")):
             load_tube(tamper(tmp_path, old_version))
 
     # derived values and typos are unknown keys, at the top and in config
@@ -435,7 +433,7 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
             ("", "chord_total", 6.0), ("", "knots", [0.0, 1.0]),
             ("", "dimension", 2), ("", "qp_solves", 2), ("", "bogus", 1),
             ("", "config.order", 5), ("config", "bogus", 1),
-            ("config", "order.x", 5)]:
+            ("config", "order.x", 5), ("config", "corridor_mode", "strict")]:
         def add_key(doc):
             (doc[section] if section else doc)[key] = value
         path = f"{section}.{key}" if section else key
@@ -476,10 +474,11 @@ def test_load_tube_rejects_malformed_documents(tmp_path):
 
     # trajectory settings go through the same checks as a scenario's
     for key, value, match in [
-            ("corridor_mode", "loose", "must be one of"),
             ("continuity", -1, r"continuity must be in \[0, order\]"),
             ("corridor_samples", 0, "corridor_samples must be at least 1"),
             ("corridor_samples", -2, "corridor_samples must be at least 1"),
+            ("corridor_samples", 21, "corridor_samples must be at most 20"),
+            ("segments", 101, "segments must be at most 100"),
             ("cost_derivative", 9, r"cost_derivative must be in \[1, order\]"),
             ("order", 5.0, "config.order: expected an integer"),
             ("segments", 9, "config.segments is 9, but the waypoints span 6")]:

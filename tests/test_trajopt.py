@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tubeplan.knots import KnotVector
-from tubeplan.trajopt import (_kkt_solve, AffineInequalities, CorridorSpec,
-                              Infeasible, OutOfDomain, PiecewisePolynomial,
+from tubeplan.trajopt import (_kkt_solve, AffineInequalities, Infeasible,
+                              OutOfDomain, PiecewisePolynomial,
                               RankDeficient, assemble_cost, assemble_equality,
                               basis_row, corridor_constraints, equality_rhs,
                               evaluate, evaluate_grid, reduce_equalities,
@@ -28,21 +28,20 @@ def test_basis_row_values():
 
 
 def test_cost_matrix_linear_velocity():
-    cost = assemble_cost(UNIT, 1, 1, 1)
-    assert np.allclose(cost.H, [[0.0, 0.0], [0.0, 1.0]])
+    H = assemble_cost(UNIT, 1, 1, 1)
+    assert np.allclose(H, [[0.0, 0.0], [0.0, 1.0]])
 
 
 def test_cost_matrix_quadratic_acceleration():
-    cost = assemble_cost(UNIT, 2, 2, 1)
+    H = assemble_cost(UNIT, 2, 2, 1)
     expect = np.zeros((3, 3))
     expect[2, 2] = 4.0
-    assert np.allclose(cost.H, expect)
+    assert np.allclose(H, expect)
 
 
 def test_cost_matrix_block_diagonal_and_psd():
     kv = KnotVector(np.array([0.0, 0.4, 1.0]), normalized=True)
-    cost = assemble_cost(kv, 3, 5, 2)
-    H = cost.H
+    H = assemble_cost(kv, 3, 5, 2)
     w = 12   # coefficients per segment: (5 + 1) * 2
     assert H.shape == (24, 24)
     assert np.allclose(H[:w, w:], 0.0)
@@ -52,11 +51,11 @@ def test_cost_matrix_block_diagonal_and_psd():
 
 def test_cost_kills_constant_offsets():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
-    cost = assemble_cost(kv, 3, 5, 2)
+    H = assemble_cost(kv, 3, 5, 2)
     shift = np.zeros(24)
     shift[0:2] = 1.0        # constant coefficients of segment 0
     shift[12:14] = 1.0      # constant coefficients of segment 1
-    assert np.allclose(cost.H @ shift, 0.0, atol=1e-12)
+    assert np.allclose(H @ shift, 0.0, atol=1e-12)
 
 
 def test_equality_line_fit_oracle():
@@ -107,7 +106,10 @@ def _null_space_problem(rng, n, r):
 
 
 def _solve(H, A, b, ineq=None):
-    """min x^T H x subject to A x = b and ineq, the way a tube solves."""
+    """min x^T H x subject to A x = b and ineq (default none), the way a
+    tube solves."""
+    if ineq is None:
+        ineq = AffineInequalities(np.zeros((0, A.shape[1])), np.zeros(0))
     return _solve_reduced(reduce_equalities(A, H), ineq, b)
 
 
@@ -230,8 +232,8 @@ def test_qp_matches_one_dof_oracle():
     pts = np.array([[0.0], [1.0], [0.0]])
     A, b = assemble_equality(pts, kv, 3, 1), equality_rhs(pts, 1)
     assert A.shape == (7, 8)
-    cost = assemble_cost(kv, 2, 3, 1)
-    sol = _solve(cost.H, A, b)
+    H = assemble_cost(kv, 2, 3, 1)
+    sol = _solve(H, A, b)
 
     # independent oracle: along the one-dimensional feasible line the
     # objective is an exact quadratic, so a parabola through three samples
@@ -243,7 +245,7 @@ def test_qp_matches_one_dof_oracle():
 
     def f(t):
         v = x_p + t * direction
-        return float(v @ cost.H @ v)
+        return float(v @ H @ v)
 
     a = 0.5 * (f(1.0) + f(-1.0)) - f(0.0)
     slope = 0.5 * (f(1.0) - f(-1.0))
@@ -325,15 +327,14 @@ def test_qp_deterministic():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     A, b = assemble_equality(pts, kv, 5, 2), equality_rhs(pts, 2)
-    cost = assemble_cost(kv, 3, 5, 2)
-    first, second = (_solve(cost.H, A, b) for _ in range(2))
+    H = assemble_cost(kv, 3, 5, 2)
+    first, second = (_solve(H, A, b) for _ in range(2))
     assert np.array_equal(first.x, second.x)
 
 
 def test_corridor_rows_on_and_off_the_polyline():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-    spec = CorridorSpec(np.array(0.5), samples_per_segment=1)
-    ineq = corridor_constraints(pts, UNIT, spec, 1)
+    pts = np.array([[[0.0, 0.0], [2.0, 0.0]]])     # one path
+    ineq = corridor_constraints(pts, 0.5, 1, 1)
     straight = np.array([0.0, 0.0, 2.0, 0.0])   # h(t) = (2t, 0)
     res = ineq.residuals(straight)
     assert np.allclose(res, -0.5)
@@ -341,12 +342,17 @@ def test_corridor_rows_on_and_off_the_polyline():
     res = ineq.residuals(shifted)
     assert res.max() == pytest.approx(-0.2)
     assert res.min() == pytest.approx(-0.8)
+    # two paths 0.4 apart: the same mean, and the bound grows by the
+    # largest perpendicular offset from it, 0.2
+    pair = pts + np.array([[[0.0, 0.2]], [[0.0, -0.2]]])
+    wide = corridor_constraints(pair, 0.5, 1, 1)
+    assert np.array_equal(wide.G, ineq.G)
+    assert np.allclose(wide.residuals(straight), -0.7)
 
 
 def test_corridor_rows_scale_with_sample_count():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
-    ineq = corridor_constraints(pts, kv, CorridorSpec(np.array(1.0), 3), 5)
+    pts = np.array([[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]])
+    ineq = corridor_constraints(pts, 1.0, 3, 5)
     # 2 segments x 3 samples x 2 coordinates x two sides
     assert ineq.G.shape == (24, 24)
 
@@ -356,8 +362,8 @@ def test_continuity_across_interior_knots():
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [3.5, 0.5],
                     [4.0, 0.0]])
     A, b = assemble_equality(pts, kv, 5, 3), equality_rhs(pts, 3)
-    cost = assemble_cost(kv, 3, 5, 2)
-    sol = _solve(cost.H, A, b)
+    H = assemble_cost(kv, 3, 5, 2)
+    sol = _solve(H, A, b)
     traj = PiecewisePolynomial(2, 5, kv, sol.x)
     # at the shared knot, tau = 1 of one segment meets tau = 0 of the next
     spans = np.diff(kv.u)
@@ -374,8 +380,8 @@ def test_second_derivative_matches_finite_differences():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     A, b = assemble_equality(pts, kv, 5, 2), equality_rhs(pts, 2)
-    cost = assemble_cost(kv, 3, 5, 2)
-    traj = PiecewisePolynomial(2, 5, kv, _solve(cost.H, A, b).x)
+    H = assemble_cost(kv, 3, 5, 2)
+    traj = PiecewisePolynomial(2, 5, kv, _solve(H, A, b).x)
     rng = np.random.default_rng(7)
     # h = 1e-4 balances cancellation noise against truncation; samples stay
     # clear of the interior knot so the stencil never straddles segments
@@ -394,7 +400,7 @@ def test_second_derivative_matches_finite_differences():
 def test_objective_invariant_under_translation():
     kv = KnotVector(np.array([0.0, 0.5, 1.0]), normalized=True)
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    H = assemble_cost(kv, 3, 5, 2).H
+    H = assemble_cost(kv, 3, 5, 2)
     A = assemble_equality(pts, kv, 5, 2)
     base, moved = (_solve(H, A, equality_rhs(p, 2))
                    for p in (pts, pts + [10.0, -4.0]))

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from tubeplan import tube as tube_module
+from tubeplan.cli import plan_tube
 from tubeplan.geometry import OrderPairSet, Terminal, assign_vertices
 from tubeplan.pathfinder import ObstacleSet, RrtConfig, equalize_waypoints
-from tubeplan.trajopt import PiecewisePolynomial, evaluate, evaluate_grid
+from tubeplan.scenario_io import load_scenario
+from tubeplan.trajopt import (PiecewisePolynomial, evaluate, evaluate_grid,
+                              reduce_equalities)
 from tubeplan.tube import (BenchmarkRow, InvalidWeights, TrajectoryConfig,
                            build_tube, check_weights, combination_benchmark,
                            combine_rhs, cross_section, direct_member_solve,
@@ -68,7 +71,7 @@ def test_member_matches_direct_solve(triangle_tube):
         x = member_trajectory(tube, theta).x
         direct = direct_member_solve(tube, theta)
         assert np.abs(x - direct.x).max() <= 1e-6
-        obj = float(x @ tube.cost.H @ x)
+        obj = float(x @ tube.H @ x)
         assert abs(obj - direct.objective) <= 1e-8 * max(direct.objective, 1.0)
 
 
@@ -188,9 +191,32 @@ def test_combination_benchmark_rows(triangle_tube):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrajectoryConfig(corridor_mode="banana")
-    with pytest.raises(ValueError):
         TrajectoryConfig(order=3, continuity=4)
+    # the caps hold the matrices a plan or load builds to a few hundred MB
+    for field, cap in (("segments", tube_module.MAX_SEGMENTS),
+                       ("corridor_samples", tube_module.MAX_CORRIDOR_SAMPLES)):
+        TrajectoryConfig(**{field: cap})
+        with pytest.raises(ValueError, match=f"{field} must be at most"):
+            TrajectoryConfig(**{field: cap + 1})
+
+
+def basis_is_equality_only(tube):
+    """Whether no corridor row binds: every basis solution is its
+    minimiser on A x = b alone, bit for bit, with positive slack on every
+    corridor row."""
+    reduced = reduce_equalities(tube.A, tube.H)
+    slack = tube.corridor.h[:, None] - tube.corridor.G @ tube.basis_x.T
+    return slack.min() > 0.0 and all(
+        np.array_equal(x, reduced.minimiser(b))
+        for x, b in zip(tube.basis_x, tube.basis_b))
+
+
+@pytest.mark.parametrize("name", ["corridor_2d", "triangle_2d", "tetra_3d"])
+def test_shipped_corridors_are_inactive(name):
+    # so a corridor wide enough never to bind plans the same tube as
+    # equality rows alone would
+    assert basis_is_equality_only(
+        plan_tube(load_scenario(f"scenarios/{name}.json")))
 
 
 # --- corridor activity and optimality transfer ------------------------------
@@ -209,9 +235,11 @@ def _kink_paths(spread):
 
 
 def test_equality_only_members_verify():
-    cfg = TrajectoryConfig(segments=6, corridor_mode="none")
+    # the default corridor leaves the kink free: its members are those of
+    # the equality rows alone
+    cfg = TrajectoryConfig(segments=6)
     tube = hand_tube(_kink_paths(0.4), cfg)
-    assert tube.corridor is None
+    assert basis_is_equality_only(tube)
     rng = np.random.default_rng(8)
     for _ in range(5):
         report = verify_member_optimality(tube, rng.dirichlet(np.ones(2)),
