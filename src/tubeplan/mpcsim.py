@@ -17,17 +17,20 @@ trajectory QP solver takes as it is.
 Each tick assembles the QPs of the whole swarm at once (``tick_qps``):
 the free responses, the unconstrained minimisers and the input,
 avoidance and box rows are arrays with a leading robot axis, and every
-robot's rows share one layout.  Only the active-set loops run per robot
-(``mpc_step``), each against its neighbours' plans of the previous
-tick.
+robot's rows share one layout.  One call then solves them all
+(``mpc_step``), each robot against its neighbours' plans of the
+previous tick.
 
 The condensed Hessian is positive definite and depends only on the
 dynamics, the horizon and the weights, so ``simulate`` builds it and its
 Cholesky factor once (``HorizonQp``) for every robot and tick.  Each
 active-set step then solves its KKT system through that factor by the
 range-space method (Nocedal & Wright, Numerical Optimization, 16.2): one
-small QR of the factored working rows.  The basis QPs take the same
-path once ``trajopt.reduce_equalities`` has removed their equality rows.
+small QR of the factored working rows.  The robots' active-set loops run
+in lockstep: each step groups the robots by working-set size and solves
+a group's KKT systems with one stacked QR (``trajopt.solve_qp``).  The
+basis QPs take the same path, as stacks of one, once
+``trajopt.reduce_equalities`` has removed their equality rows.
 
 Each robot's active-set loop is warm-started from the working set its own
 QP ended with on the previous tick (Ferreau, Bock & Diehl, IJRNC 2008):
@@ -42,7 +45,7 @@ the run is a slice of that grid.
 
 ``hull_inequalities`` (the facet rows of a cross-section hull) is not on
 the tick's path; it imports ``scipy.spatial`` when called, so the module
-loads only NumPy and ``scipy.linalg``.
+loads NumPy alone.
 """
 
 from dataclasses import dataclass
@@ -449,11 +452,12 @@ def tick_qps(horizon: HorizonQp, ref: np.ndarray, ff: np.ndarray,
 
 def mpc_step(G: np.ndarray, h: np.ndarray, z_star: np.ndarray,
              horizon: HorizonQp, warm=None):
-    """Solve one robot's horizon QP of a tick (see TickQps); returns its
-    solution z and its final working set.
+    """Solve the horizon QPs of a tick (see TickQps), every robot's at
+    once, or one robot's from its own G, h and z_star; returns the
+    solutions z and the final working sets.
 
-    warm is the working set this robot's previous call returned, None on
-    its first call; it seeds the QP, whose rows keep their layout from
+    warm holds the working set each robot's previous call returned, None
+    before its first; it seeds the QP, whose rows keep their layout from
     tick to tick.
     """
     sol = solve_qp(horizon.L_inv, G, h, warm)
@@ -553,7 +557,7 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
     J = max(M - 1, 0)
     others = np.arange(J) + (np.arange(J) >= np.arange(M)[:, None])
     prev_normals = np.full((M, J, d), np.nan)
-    warm = [None] * M
+    warm = None
 
     used = 0
     for tick in range(ticks):
@@ -563,20 +567,17 @@ def simulate(tube: OptimalVirtualTube, starts, config: MpcConfig,
         ref, ff = reference_window(refs, tick, N)
         qps = tick_qps(horizon, ref, ff, states[tick], hs,
                        config.boundary_tolerance)
-        z = np.empty_like(qps.z_star)
-        for i in range(M):
-            try:
-                z[i], warm[i] = mpc_step(qps.G[i], qps.h[i], qps.z_star[i],
-                                         horizon, warm[i])
-            except Infeasible as err:
-                raise Infeasible(
-                    f"robot {i} at tick {tick}: {err}; the settings that "
-                    f"bind are controller.reference_speed "
-                    f"({config.reference_speed:g}), "
-                    f"controller.boundary_tolerance "
-                    f"({config.boundary_tolerance:g}) and "
-                    f"controller.input_limit ({config.input_limit:g})"
-                ) from err
+        try:
+            z, warm = mpc_step(qps.G, qps.h, qps.z_star, horizon, warm)
+        except Infeasible as err:
+            raise Infeasible(
+                f"robot {err.index} at tick {tick}: {err.reason}; the "
+                f"settings that bind are controller.reference_speed "
+                f"({config.reference_speed:g}), "
+                f"controller.boundary_tolerance "
+                f"({config.boundary_tolerance:g}) and "
+                f"controller.input_limit ({config.input_limit:g})"
+            ) from err
         inputs[tick], plans, max_slack[tick] = horizon_plans(
             horizon, ref, ff, qps.free, z)
         del qps    # free this tick's rows before the next tick builds its own

@@ -13,17 +13,16 @@ inequalities G x <= h, which ``corridor_constraints`` derives from all of
 a tube's paths at once so that every basis problem shares them.
 
 ``solve_qp`` takes one form, min y^T H y subject to G y <= h with H
-positive definite.  A planning problem reaches it through
-``reduce_equalities``: x = x_u + Z y, with x_u its minimiser on A x = b
-and Z a basis of null(A), leaves y^T (Z^T H Z) y over (G Z) y <= h - G x_u.
+positive definite, or a stack of them that share H.  A planning problem
+reaches it through ``reduce_equalities``: x = x_u + Z y, with x_u its
+minimiser on A x = b and Z a basis of null(A), leaves y^T (Z^T H Z) y
+over (G Z) y <= h - G x_u.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .knots import KnotVector
 
@@ -32,11 +31,21 @@ class RankDeficient(RuntimeError):
     """A linear system lost rank (duplicate constraints or singular KKT)."""
 
 
-class Infeasible(RuntimeError):
+class QpFailure(RuntimeError):
+    """A QP without a solution; in a stack of QPs, index names the
+    problem."""
+
+    def __init__(self, reason: str, index: int | None = None):
+        prefix = "" if index is None else f"problem {index}: "
+        super().__init__(prefix + reason)
+        self.reason, self.index = reason, index
+
+
+class Infeasible(QpFailure):
     """The constraint set admits no solution."""
 
 
-class MaxIterations(RuntimeError):
+class MaxIterations(QpFailure):
     """Active-set iteration exceeded its budget."""
 
 
@@ -212,25 +221,20 @@ class ReducedEqualities:
 
     A: np.ndarray
     H: np.ndarray
-    Q1: np.ndarray         # A^T P = Q1 R, a pivoted QR
-    R: np.ndarray
-    perm: np.ndarray       # the pivots P
+    Q1: np.ndarray         # A^T = Q1 R, a QR without pivoting
+    R_inv: np.ndarray      # R^-1, once for every b
     Z: np.ndarray          # orthonormal basis of null(A)
     factor: np.ndarray     # inverse lower Cholesky factor of Z^T (2 H) Z
 
     def minimiser(self, b: np.ndarray) -> np.ndarray:
         """The minimiser x_u of x^T H x subject to A x = b."""
-        x = self.Q1 @ solve_triangular(self.R, b[self.perm], trans="T",
-                                       check_finite=False)
+        x = self.Q1 @ (self.R_inv.T @ b)
         F = self.factor
         return x - self.Z @ (F.T @ (F @ (self.Z.T @ (2.0 * self.H @ x))))
 
     def multipliers(self, grad: np.ndarray) -> np.ndarray:
         """lam with A^T lam = -grad."""
-        lam = np.empty(self.R.shape[0])
-        lam[self.perm] = -solve_triangular(self.R, self.Q1.T @ grad,
-                                           check_finite=False)
-        return lam
+        return -self.R_inv @ (self.Q1.T @ grad)
 
 
 def reduce_equalities(A: np.ndarray, H: np.ndarray) -> ReducedEqualities:
@@ -240,16 +244,19 @@ def reduce_equalities(A: np.ndarray, H: np.ndarray) -> ReducedEqualities:
     at or below 1e-12 of the largest marks a dependent row, and a reduced
     Hessian that is not positive definite, or whose Cholesky diagonal
     falls to 1e-6 of its largest, a singular KKT system; both raise
-    RankDeficient.
+    RankDeficient.  Without pivoting R's diagonal does not reveal every
+    rank loss, so ``assemble_equality`` tests the rank of the rows a
+    tube reduces.
     """
     r, n = A.shape
     if r > n:
         raise RankDeficient(f"{r} rows on {n} variables")
-    Q, R, perm = qr(A.T, pivoting=True)
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    R = R[:r]
     diag = np.abs(np.diag(R))
     if r and diag.min() <= 1e-12 * diag.max():
         k = int(diag.argmin())
-        raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {perm[k]} of {r}")
+        raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {k} of {r}")
     Z = Q[:, r:]
     try:
         factor = inverse_cholesky(Z.T @ (2.0 * H) @ Z)
@@ -260,30 +267,27 @@ def reduce_equalities(A: np.ndarray, H: np.ndarray) -> ReducedEqualities:
     except np.linalg.LinAlgError:
         raise RankDeficient(
             "reduced Hessian is not positive definite on null(A)") from None
-    return ReducedEqualities(A, H, Q[:, :r], R[:r], perm, Z, factor)
+    return ReducedEqualities(A, H, Q[:, :r], np.linalg.inv(R), Z, factor)
 
 
 def inverse_cholesky(M: np.ndarray) -> np.ndarray:
-    """Inverse of the lower Cholesky factor of M, by LAPACK dtrtri.
+    """Inverse of the lower Cholesky factor of M, exactly lower
+    triangular.
 
-    Not solve_triangular(L, I), which takes milliseconds on 2 BLAS threads.
     Raises numpy.linalg.LinAlgError when M is not positive definite.
     """
-    L = np.linalg.cholesky(M)
-    if not L.size:
-        return L
-    inv, info = dtrtri(L, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dtrtri info {info}")
-    return inv
+    return np.tril(np.linalg.inv(np.linalg.cholesky(M)))
 
 
 @dataclass
 class ActiveSetSolution:
+    """One QP's solution; a stack's has a leading problem axis on x and
+    mu, and one working set and iteration count per problem."""
+
     x: np.ndarray
     mu: np.ndarray      # one multiplier per row of G
     working: list       # final working set, in the order rows joined it
-    iterations: int     # KKT solves made
+    iterations: int | list  # KKT solves made
 
 
 # termination tolerances for the active-set loop; FEAS_TOL also bounds
@@ -293,29 +297,33 @@ _DUAL_TOL = 1e-10
 
 
 def _kkt_solve(factor: np.ndarray, G_W: np.ndarray, h_W: np.ndarray):
-    """Minimiser x of x^T H x subject to G_W x = h_W, and the multipliers
-    mu of the stationarity condition 2 H x + G_W^T mu = 0, by the
-    range-space method (Nocedal & Wright, Numerical Optimization, 16.2).
+    """Minimisers x of x^T H x subject to G_W x = h_W, and the multipliers
+    mu of the stationarity condition 2 H x + G_W^T mu = 0, for k problems
+    that share H and have r working rows each: G_W is (k, r, n) and h_W
+    (k, r).  The range-space method (Nocedal & Wright, Numerical
+    Optimization, 16.2).
 
     factor is L^-1 for the lower Cholesky factor L L^T = 2 H.  With V =
     L^-1 G_W^T = Q R, the multipliers are -R^-1 R^-T h_W and x = L^-T Q
     R^-T h_W.  R^T R = G_W (2 H)^-1 G_W^T is the Schur complement, so a
     diagonal entry of R at or below 1e-6 of the largest, a relative Schur
-    pivot of 1e-12, marks a dependent row and raises RankDeficient.
+    pivot of 1e-12, marks a problem's rows dependent, as do more rows
+    than variables.  Returns x (k, n), mu (k, r) and that mask (k,); a
+    dependent problem's x and mu mean nothing.  The factorisations and
+    products run matrix by matrix, so each problem gets the numbers it
+    would get alone.
     """
-    n, r = factor.shape[0], G_W.shape[0]
-    if r > n:
-        raise RankDeficient(f"{r} rows on {n} variables")
-    if r == 0:
-        return np.zeros(n), np.zeros(0)
-    Q, R = np.linalg.qr(factor @ G_W.T)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= 1e-6 * diag.max():
-        k = int(diag.argmin())
-        raise RankDeficient(f"|R_kk| {diag[k]:.3e} at row {k} of {r}")
-    w, _ = dtrtrs(R, h_W, trans=1)
-    mu, _ = dtrtrs(R, w)
-    return factor.T @ (Q @ w), -mu
+    k, r, n = G_W.shape
+    if r > n or r == 0:
+        return np.zeros((k, n)), np.zeros((k, r)), np.full(k, r > n)
+    Q, R = np.linalg.qr(factor @ G_W.transpose(0, 2, 1))
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    dependent = diag.min(axis=1) <= 1e-6 * diag.max(axis=1)
+    if dependent.any():
+        R[dependent] = np.eye(r)      # a stand-in that inverts
+    R_inv = np.linalg.inv(R)
+    w = R_inv.transpose(0, 2, 1) @ h_W[..., None]     # R^-T h_W
+    return (factor.T @ (Q @ w))[..., 0], -(R_inv @ w)[..., 0], dependent
 
 
 def _dual_step(G: np.ndarray, working: list, mu: np.ndarray):
@@ -342,50 +350,111 @@ def _dual_step(G: np.ndarray, working: list, mu: np.ndarray):
 
 
 def solve_qp(factor: np.ndarray, G: np.ndarray, h: np.ndarray,
-             working: list | None = None) -> ActiveSetSolution:
+             working=None) -> ActiveSetSolution:
     """Minimise x^T H x subject to G x <= h, where factor is the inverse
-    lower Cholesky factor of 2 H.
+    lower Cholesky factor of 2 H; or solve a stack of M such QPs that
+    share H, with G (M, rows, n), h (M, rows) and one working set per
+    problem.
 
     An active-set loop: solve with the working rows as equalities, drop
     the row with the most negative multiplier, else add the most violated
     row, and repeat, at most 100 times per variable.  An added row that
     depends on the working rows takes the place of one (``_dual_step``).
-    working optionally names rows to start from (a warm start); a warm
-    set whose rows are dependent is dropped for the empty set, so a stale
-    warm set is never reported as Infeasible.
+    working optionally names rows to start from (a warm start), or for a
+    stack a warm set or None per problem; a warm set whose rows are
+    dependent is dropped for the empty set, so a stale warm set is never
+    reported as Infeasible.
+
+    A stack runs its problems' loops in lockstep.  Each step groups the
+    unsettled problems by working-set size and solves a group's KKT
+    systems in one call, so every problem takes the steps it would take
+    alone.  Once the others have settled, the failure of the lowest
+    failed index is raised, naming that index.
     """
-    budget = 100 * max(factor.shape[0], 1)
-    working = list(working or [])
-    added = False           # whether the last change added a row
-    iterations = 0
-    for _ in range(budget):
-        iterations += 1
-        try:
-            x, mu = _kkt_solve(factor, G[working], h[working])
-        except RankDeficient:
-            if added:
-                working, mu = _dual_step(G, working, mu)
-            else:
-                working = []
-            continue
-        if mu.size and mu.min() < -_DUAL_TOL:
-            working.pop(int(np.argmin(mu)))
-            added = False
-            continue
-        res = G @ x - h
-        res[working] = 0.0
-        if res.size and res.max() > FEAS_TOL:
-            working.append(int(np.argmax(res)))
-            added = True
-            continue
-        break
-    else:
-        raise MaxIterations(f"active set did not settle in {budget} steps")
-    violation = float((G @ x - h).max(initial=0.0))
-    if violation > FEAS_TOL:
-        raise Infeasible(f"inequality violation {violation:.3e} after solve")
-    full = np.zeros(G.shape[0])
-    full[working] = mu
+    single = G.ndim == 2
+    if single:
+        G, h, working = G[None], h[None], [working]
+    M, rows, n = G.shape
+    budget = 100 * max(n, 1)
+    working = [list(w or []) for w in (working or [None] * M)]
+    added = [False] * M     # whether the last change added a row
+    mus = [np.zeros(0)] * M     # multipliers of the last solve or dual step
+    iterations = [0] * M
+    x = np.zeros((M, n))
+    failed = {}             # problem -> (exception type, reason)
+    pending = list(range(M))
+    while pending:
+        groups = {}
+        for i in pending:
+            groups.setdefault(len(working[i]), []).append(i)
+        pending = []
+        for r, members in groups.items():
+            k = len(members)
+            idx = np.array(members)
+            W = np.array([working[i] for i in members], dtype=np.intp)
+            x_W, mu_W, dependent = _kkt_solve(
+                factor, G[idx[:, None], W], h[idx[:, None], W])
+            x[idx] = x_W
+            # a problem drops the row of its most negative multiplier, if
+            # there is one, else adds its most violated row, if any
+            dropping = mu_W.min(axis=1, initial=0.0) < -_DUAL_TOL
+            keep = np.flatnonzero(~(dependent | dropping))
+            res = np.empty((keep.size, rows))
+            for c, j in enumerate(keep.tolist()):
+                # one product per problem: a gathered stack of G would
+                # copy every row of every problem
+                np.matmul(G[members[j]], x_W[j], out=res[c])
+            res -= h[idx[keep]]
+            on_W = (np.arange(keep.size)[:, None], W[keep])
+            # how far each x leaves its working rows, where the loop does
+            # not look for violations
+            slip = res[on_W].max(axis=1, initial=0.0)
+            res[on_W] = 0.0
+            worst = res.argmax(axis=1) if rows else np.zeros(keep.size, int)
+            violated = res.max(axis=1, initial=-np.inf) > FEAS_TOL
+            # the problems in keep, in order
+            checks = zip(worst.tolist(), violated.tolist(), slip.tolist())
+            for j, i, dep, out in zip(range(k), members, dependent.tolist(),
+                                      dropping.tolist()):
+                iterations[i] += 1
+                if dep:
+                    if not added[i]:
+                        working[i] = []
+                    else:
+                        try:
+                            working[i], mus[i] = _dual_step(
+                                G[i], working[i], mus[i])
+                        except Infeasible as err:
+                            failed[i] = Infeasible, err.reason
+                            continue
+                else:
+                    mus[i] = mu_W[j]
+                    if out:
+                        working[i].pop(int(mu_W[j].argmin()))
+                    else:
+                        row, adding, off = next(checks)
+                        if not adding:
+                            if off > FEAS_TOL:
+                                failed[i] = Infeasible, (
+                                    f"inequality violation {off:.3e} after "
+                                    f"solve")
+                            continue        # settled
+                        working[i].append(row)
+                    added[i] = not out
+                if iterations[i] < budget:
+                    pending.append(i)
+                else:
+                    failed[i] = MaxIterations, (
+                        f"active set did not settle in {budget} steps")
+    if failed:
+        i = min(failed)
+        error, reason = failed[i]
+        raise error(reason, None if single else i)
+    full = np.zeros((M, rows))
+    for i in range(M):
+        full[i, working[i]] = mus[i]
+    if single:
+        return ActiveSetSolution(x[0], full[0], working[0], iterations[0])
     return ActiveSetSolution(x, full, working, iterations)
 
 

@@ -428,29 +428,35 @@ def test_mpc_step_rejects_degenerate_weights():
 
 def test_simulate_factors_the_horizon_hessian_once(monkeypatch):
     # one Cholesky factor per simulation, however many robots and ticks;
-    # every horizon KKT system is solved through that one factor
-    factored = []
-    factors = []
+    # each tick solves every robot's horizon QP in one call, and every
+    # horizon KKT system is solved through that one factor
+    factored, stacks, factors = [], [], []
     cholesky = np.linalg.cholesky
-    kkt_solve = trajopt._kkt_solve
+    solve, kkt_solve = mpcsim.solve_qp, trajopt._kkt_solve
 
     def counted(a):
         factored.append(1)
         return cholesky(a)
 
-    def recorded(factor, G_W, h_W):
+    def recorded_solve(factor, G, h, working=None):
+        stacks.append(G.shape)
+        return solve(factor, G, h, working)
+
+    def recorded_kkt(factor, G_W, h_W):
         factors.append(factor)
         return kkt_solve(factor, G_W, h_W)
 
     tube = straight_pair_tube()
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    monkeypatch.setattr(trajopt, "_kkt_solve", recorded)
+    monkeypatch.setattr(mpcsim, "solve_qp", recorded_solve)
+    monkeypatch.setattr(trajopt, "_kkt_solve", recorded_kkt)
     log = simulate(tube, [[0.0, 0.2], [0.0, 0.8]],
                    MpcConfig(), AvoidanceModel(axes=np.array([0.3, 0.3])),
                    time_limit=2.0)
     assert log.inputs.shape[:2] == (20, 2)
     assert len(factored) == 1
-    assert len(factors) >= 40      # at least one per robot and tick
+    assert len(stacks) == 20 and all(shape[0] == 2 for shape in stacks)
+    assert len(factors) >= 20      # at least one per tick
     assert all(f is factors[0] for f in factors)
 
 
@@ -540,37 +546,43 @@ def test_tick_qps_match_the_per_robot_assembly(monkeypatch):
     # at 2.5 m/s robot 2's most violated row is often a combination of
     # its working rows, and the dual step makes room for it
     config = MpcConfig(reference_speed=2.5)
-    ticks, calls = [], []
-    assemble, step = mpcsim.tick_qps, mpcsim.mpc_step
+    ticks, calls, stacked = [], [], []
+    assemble, step, solve = mpcsim.tick_qps, mpcsim.mpc_step, mpcsim.solve_qp
+    kkt_solve = trajopt._kkt_solve
 
     def recorded_tick(*args):
         ticks.append((args, assemble(*args)))
         return ticks[-1][1]
 
     def recorded_step(G, h, z_star, horizon, warm=None):
-        z, out = step(G, h, z_star, horizon, warm)
-        calls.append((warm, out, len(solves)))
-        return z, out
+        given = None if warm is None else [list(w) for w in warm]
+        calls.append([given])
+        return step(G, h, z_star, horizon, warm)
 
-    solves = []
-    kkt_solve = trajopt._kkt_solve
+    def recorded_solve(factor, G, h, working=None):
+        sol = solve(factor, G, h, working)
+        calls[-1] += [sol.working, sol.iterations]
+        return sol
 
-    def counted(*args):
-        solves.append(1)
-        return kkt_solve(*args)
+    def counted(factor, G_W, h_W):
+        stacked.append(G_W.shape[0])
+        return kkt_solve(factor, G_W, h_W)
 
     monkeypatch.setattr(mpcsim, "tick_qps", recorded_tick)
     monkeypatch.setattr(mpcsim, "mpc_step", recorded_step)
+    monkeypatch.setattr(mpcsim, "solve_qp", recorded_solve)
     monkeypatch.setattr(trajopt, "_kkt_solve", counted)
     log = simulate(tube, starts, config,
                    AvoidanceModel(axes=np.array([0.1, 0.1])), time_limit=6.0)
     M = len(starts)
-    # one mpc_step call per robot per tick
-    assert len(ticks) == log.inputs.shape[0]
-    assert len(calls) == M * len(ticks)
+    # one mpc_step call per tick solves every robot's QP; the stacked KKT
+    # calls solve as many systems as the robots' iteration counts add to
+    assert len(ticks) == log.inputs.shape[0] == len(calls)
+    assert sum(stacked) == sum(sum(iters) for _, _, iters in calls)
     monkeypatch.setattr(trajopt, "_kkt_solve", kkt_solve)
     N, d = config.horizon, 2
-    for t, ((horizon, ref, ff, state, hs, tol), qps) in enumerate(ticks):
+    for ((horizon, ref, ff, state, hs, tol), qps), (warm, out, iters) in zip(
+            ticks, calls):
         # every robot has the same row layout, the box's 2 d rows per step
         assert qps.G.shape[1] == (horizon.G_bounds.shape[0] + (M - 1) * N
                                   + 2 * d * N)
@@ -584,13 +596,12 @@ def test_tick_qps_match_the_per_robot_assembly(monkeypatch):
                 1.0, np.abs(h).max())
             assert np.abs(qps.z_star[i] - z_star).max() <= 1e-12 * max(
                 1.0, np.abs(z_star).max())
-            # the same QP from the same warm start takes the same KKT
-            # solves to the same working set
-            warm, out, solved = calls[t * M + i]
-            sol = trajopt.solve_qp(horizon.L_inv, G, h, warm)
-            previous = calls[t * M + i - 1][2] if t * M + i else 0
-            assert out == sol.working
-            assert sol.iterations == solved - previous
+            # the same QP from the same warm start, solved alone, takes the
+            # same KKT solves to the same working set
+            sol = trajopt.solve_qp(horizon.L_inv, G, h,
+                                   None if warm is None else warm[i])
+            assert out[i] == sol.working
+            assert iters[i] == sol.iterations
 
 
 def straight_pair_tube():

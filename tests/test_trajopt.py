@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from tubeplan import trajopt
 from tubeplan.knots import KnotVector
-from tubeplan.trajopt import (_kkt_solve, AffineInequalities, Infeasible,
-                              OutOfDomain, PiecewisePolynomial,
+from tubeplan.trajopt import (FEAS_TOL, _kkt_solve, AffineInequalities,
+                              Infeasible, OutOfDomain, PiecewisePolynomial,
                               RankDeficient, assemble_cost, assemble_equality,
                               basis_row, corridor_constraints, equality_rhs,
-                              evaluate, evaluate_grid, reduce_equalities,
-                              solve_qp)
+                              evaluate, evaluate_grid, inverse_cholesky,
+                              reduce_equalities, solve_qp)
 from tubeplan.tube import _solve_reduced
 
 UNIT = KnotVector(np.array([0.0, 1.0]), normalized=True)
@@ -146,14 +147,15 @@ def test_null_space_kkt_rejects_dependent_rows():
 def test_null_space_kkt_names_a_late_dependent_row():
     rng = np.random.default_rng(4)
     H, _ = _null_space_problem(rng, 6, 0)
-    # four good rows, then a small combination of them: pivoting takes the
-    # larger rows first, and the last one left has no rank to give
+    # four good rows, then a small combination of them: the QR takes the
+    # rows in order, and the last one has no rank left to give
     C = rng.standard_normal((5, 6))
     C[4] = C[:4].T @ np.array([0.05, -0.125, 0.2, 0.075])
     with pytest.raises(RankDeficient, match="at row 4 of 5"):
         reduce_equalities(C, H)
-    # the same rows in another order name the same dependent row
-    with pytest.raises(RankDeficient, match="at row 1 of 5"):
+    # in another order the last row is again the one without rank: the
+    # combination, now second, still has rank beside the first row alone
+    with pytest.raises(RankDeficient, match="at row 4 of 5"):
         reduce_equalities(C[[0, 4, 1, 2, 3]], H)
 
 
@@ -182,14 +184,18 @@ def test_range_space_kkt_matches_reference():
     rng = np.random.default_rng(5)
     for n, r in ((3, 1), (8, 5), (20, 7), (31, 31)):
         H, factor = _spd_factor(rng, n)
-        C = rng.standard_normal((r, n))
-        b = rng.standard_normal(r)
-        K = np.block([[2.0 * H, C.T], [C, np.zeros((r, r))]])
-        ref = np.linalg.solve(K, np.concatenate([np.zeros(n), b]))
-        x, lam = _kkt_solve(factor, C, b)
-        scale = max(1.0, np.abs(ref).max())
-        assert np.abs(x - ref[:n]).max() <= 1e-9 * scale
-        assert np.abs(lam - ref[n:]).max() <= 1e-9 * scale
+        C = rng.standard_normal((3, r, n))
+        b = rng.standard_normal((3, r))
+        # three problems on one factor, solved in one call
+        x, lam, dependent = _kkt_solve(factor, C, b)
+        assert x.shape == (3, n) and lam.shape == (3, r)
+        assert not dependent.any()
+        for k in range(3):
+            K = np.block([[2.0 * H, C[k].T], [C[k], np.zeros((r, r))]])
+            ref = np.linalg.solve(K, np.concatenate([np.zeros(n), b[k]]))
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(x[k] - ref[:n]).max() <= 1e-9 * scale
+            assert np.abs(lam[k] - ref[n:]).max() <= 1e-9 * scale
 
 
 def test_range_space_kkt_rejects_dependent_rows():
@@ -198,20 +204,46 @@ def test_range_space_kkt_rejects_dependent_rows():
     row = rng.standard_normal(6)
     for C in (np.array([row, -row]), np.array([row, row]),
               rng.standard_normal((7, 6))):
-        with pytest.raises(RankDeficient):
-            _kkt_solve(factor, C, np.ones(C.shape[0]))
-    # four good rows before the last one, a combination of them, loses rank
-    C = rng.standard_normal((5, 6))
-    C[4] = C[:4].T @ np.array([0.5, -1.25, 2.0, 0.75])
-    with pytest.raises(RankDeficient, match="at row 4 of 5"):
-        _kkt_solve(factor, C, rng.standard_normal(5))
+        _, _, dependent = _kkt_solve(factor, C[None],
+                                     np.ones((1, C.shape[0])))
+        assert dependent.tolist() == [True]
+    # four good rows before the last one, a combination of them, loses
+    # rank; the problem stacked beside it, with five good rows, does not
+    C = rng.standard_normal((2, 5, 6))
+    C[0, 4] = C[0, :4].T @ np.array([0.5, -1.25, 2.0, 0.75])
+    b = rng.standard_normal((2, 5))
+    x, lam, dependent = _kkt_solve(factor, C, b)
+    assert dependent.tolist() == [True, False]
+    _, _, first_four = _kkt_solve(factor, C[:1, :4], b[:1, :4])
+    assert first_four.tolist() == [False]
+    # the dependent problem leaves its neighbour's numbers as they are alone
+    alone, lam_alone, _ = _kkt_solve(factor, C[1:], b[1:])
+    assert np.array_equal(x[1:], alone) and np.array_equal(lam[1:], lam_alone)
 
 
 def test_range_space_kkt_empty_working_set():
     rng = np.random.default_rng(7)
     _, factor = _spd_factor(rng, 4)
-    x, lam = _kkt_solve(factor, np.zeros((0, 4)), np.zeros(0))
-    assert np.array_equal(x, np.zeros(4)) and lam.size == 0
+    x, lam, dependent = _kkt_solve(factor, np.zeros((2, 0, 4)),
+                                   np.zeros((2, 0)))
+    assert np.array_equal(x, np.zeros((2, 4))) and lam.shape == (2, 0)
+    assert dependent.tolist() == [False, False]
+
+
+def test_inverse_cholesky_is_an_exact_lower_triangle():
+    # horizon_qp and tick_qps read the factor as lower triangular
+    rng = np.random.default_rng(8)
+    for n in (1, 4, 31):
+        M = rng.standard_normal((n, n))
+        A = M @ M.T + 0.5 * np.eye(n)
+        inv = inverse_cholesky(A)
+        assert np.array_equal(inv, np.tril(inv))
+        L = np.linalg.cholesky(A)
+        assert np.abs(inv @ L - np.eye(n)).max() <= 1e-12
+    assert inverse_cholesky(np.zeros((0, 0))).shape == (0, 0)
+    for A in (np.diag([1.0, -1.0]), np.zeros((2, 2))):
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse_cholesky(A)
 
 
 # the inverse lower Cholesky factor of 2 I, for min |x|^2
@@ -330,6 +362,96 @@ def test_qp_deterministic():
     H = assemble_cost(kv, 3, 5, 2)
     first, second = (_solve(H, A, b) for _ in range(2))
     assert np.array_equal(first.x, second.x)
+
+
+def _random_stack(rng):
+    """A stack of QPs on one factor and the warm set of each problem.
+
+    Every problem is feasible at a point of its own with slack to spare.
+    Problems of kind 0 are also feasible at the origin, so they settle on
+    the empty set; kinds 1 and 2 hold a row and a tighter copy of it and
+    start from the row (a dual step) or from both (a dependent warm set,
+    dropped for the empty set); kind 3 starts from stale random rows,
+    kind 4 cold and kind 5 from the empty set.
+    """
+    M, n = int(rng.integers(1, 8)), int(rng.integers(2, 6))
+    rows = int(rng.integers(n + 1, 3 * n + 1))
+    _, factor = _spd_factor(rng, n)
+    G = rng.standard_normal((M, rows, n))
+    x0 = rng.standard_normal((M, n))
+    h = np.einsum("mij,mj->mi", G, x0) + rng.uniform(0.05, 1.0, (M, rows))
+    warm = []
+    for i in range(M):
+        kind = int(rng.integers(6))
+        start = [None, [0], [0, 1], None, None, []][kind]
+        if kind == 0:
+            h[i] = np.abs(h[i]) + 0.1
+        elif kind in (1, 2):
+            g = G[i, 0]
+            x0 = -2.0 * g / (g @ g)                     # g . x0 = -2
+            G[i, 1] = g
+            h[i, :2] = [-1.0, -1.5]
+            h[i, 2:] = G[i, 2:] @ x0 + rng.uniform(0.05, 1.0, rows - 2)
+        elif kind == 3:
+            start = rng.integers(rows, size=int(rng.integers(1, n + 1)))
+            start = start.tolist()
+        warm.append(start)
+    return factor, G, h, warm
+
+
+def test_stacked_qps_take_the_steps_of_their_lone_solves(monkeypatch):
+    # one call on a stack gives every problem the solution, working set
+    # and KKT solve count of its own call
+    dual_steps = []
+    dual_step = trajopt._dual_step
+
+    def counted(*args):
+        dual_steps.append(1)
+        return dual_step(*args)
+
+    monkeypatch.setattr(trajopt, "_dual_step", counted)
+    rng = np.random.default_rng(11)
+    empty = sizes = 0
+    for _ in range(150):
+        factor, G, h, warm = _random_stack(rng)
+        given = [None if w is None else list(w) for w in warm]
+        stack = solve_qp(factor, G, h, warm)
+        assert warm == given                     # the warm sets are copied
+        assert stack.x.shape == G.shape[::2]
+        for i in range(G.shape[0]):
+            alone = solve_qp(factor, G[i], h[i], warm[i])
+            scale = max(1.0, np.abs(alone.x).max())
+            assert np.abs(stack.x[i] - alone.x).max() <= 1e-12 * scale
+            scale = max(1.0, np.abs(alone.mu).max())
+            assert np.abs(stack.mu[i] - alone.mu).max() <= 1e-12 * scale
+            assert stack.working[i] == alone.working
+            assert stack.iterations[i] == alone.iterations
+            assert (G[i] @ alone.x - h[i]).max() <= FEAS_TOL
+        empty += sum(not w for w in stack.working)
+        sizes += len({len(w) for w in stack.working}) > 1
+    # every kind of start was exercised, and the problems of a stack
+    # ended with working sets of different sizes
+    assert len(dual_steps) >= 50 and empty >= 50 and sizes >= 50
+
+
+def test_stacked_qps_name_the_first_infeasible_problem():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        factor, G, h, warm = _random_stack(rng)
+        M, rows, n = G.shape
+        bad = sorted(set(rng.integers(M, size=int(rng.integers(1, 3)))))
+        for i in bad:
+            # g . x <= -1 and -g . x <= 0 leave no feasible point
+            G[i, 1] = -G[i, 0]
+            h[i, :2] = [-1.0, 0.0]
+        with pytest.raises(Infeasible) as stacked:
+            solve_qp(factor, G, h, warm)
+        i = bad[0]
+        with pytest.raises(Infeasible) as alone:
+            solve_qp(factor, G[i], h[i], warm[i])
+        assert stacked.value.index == i and alone.value.index is None
+        assert stacked.value.reason == str(alone.value)
+        assert str(stacked.value) == f"problem {i}: {alone.value}"
 
 
 def test_corridor_rows_on_and_off_the_polyline():
